@@ -5,7 +5,8 @@
   tuples of some partition carry it.  The threshold bounds the number
   of heavy keys (≤ 100/2.5 = 40 per partition's sample), which keeps
   broadcasting them cheap.
-* :class:`SkewTriple` — (light bag, heavy bag, heavy-key set).
+* :class:`SkewTriple` — (light bag, heavy bag, heavy-key set, and the
+  key the set was sampled on, which is reused only for that key).
 * :func:`skew_join` — light⋈light with the standard shuffle join;
   heavy⋈broadcast(heavy side of the smaller relation), so values of
   heavy keys in the big relation stay where they are.
@@ -19,14 +20,27 @@ implementation, returning a triple with an empty heavy part
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame, Row, Window
 from pyspark.sql import functions as F
+
+from .metrics import NO_METRICS, MetricsCollector
 
 DEFAULT_THRESHOLD = 0.025
 DEFAULT_SAMPLE_FRACTION = 0.1
 MIN_SAMPLE_PER_PARTITION = 20
+
+Key = Union[str, Column]  # a column name or an expression over columns
+
+
+def _col(key: Key) -> Column:
+    return F.col(key) if isinstance(key, str) else key
+
+
+def key_id(key: Key) -> str:
+    """What a triple records of the key its heavy keys were sampled on."""
+    return str(_col(key))
 
 
 @dataclass
@@ -36,6 +50,7 @@ class SkewTriple:
     light: DataFrame
     heavy: Optional[DataFrame]
     keys: Optional[list]  # heavy key values; None = unknown
+    key: Optional[str] = None  # key_id of the key ``keys`` were sampled on
 
     def union(self) -> DataFrame:
         if self.heavy is None:
@@ -43,21 +58,33 @@ class SkewTriple:
         return self.light.unionByName(self.heavy)
 
 
+def _literal(v) -> Column:
+    """Literal of a key value; struct-valued keys come back as ``Row``s."""
+    if isinstance(v, Row):
+        return F.struct(*[_literal(x).alias(n) for n, x in zip(v.__fields__, v)])
+    return F.lit(v)
+
+
 def heavy_keys(
     df: DataFrame,
-    key_col: str,
+    key: Key,
     threshold: float = DEFAULT_THRESHOLD,
     sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
 ) -> list:
-    """Heavy key values of ``df[key_col]`` via per-partition sampling.
+    """Heavy key values of ``df[key]`` via per-partition sampling.
 
     Mirrors the paper's procedure: sample each partition, mark a key
     heavy when its share of that partition's sample reaches the
-    threshold.  Null keys are never heavy.
+    threshold.  Null keys are never heavy.  The sample is shuffled once,
+    on the partition id, which already clusters both the per-key counts
+    and the per-partition totals; the keys (at most 40 per partition)
+    are de-duplicated on the driver.
     """
-    sample = df.select(
-        F.spark_partition_id().alias("__pid"), F.col(key_col).alias("__k")
-    ).sample(fraction=sample_fraction, seed=7)
+    sample = (
+        df.select(F.spark_partition_id().alias("__pid"), _col(key).alias("__k"))
+        .sample(fraction=sample_fraction, seed=7)
+        .repartition("__pid")
+    )
     counts = (
         sample.groupBy("__pid", "__k")
         .count()
@@ -72,55 +99,58 @@ def heavy_keys(
             & F.col("__k").isNotNull()
         )
         .select("__k")
-        .distinct()
         .collect()
     )
-    return [r["__k"] for r in rows]
+    return list(dict.fromkeys(r["__k"] for r in rows))
 
 
-def split(
-    df: DataFrame, key_col: str, keys: Optional[list]
-) -> SkewTriple:
+def split(df: DataFrame, key: Key, keys: Optional[list]) -> SkewTriple:
     """Split a bag into a skew-triple on known heavy keys."""
     if not keys:
-        return SkewTriple(light=df, heavy=None, keys=keys or [])
-    light = df.where(~F.col(key_col).isin(keys) | F.col(key_col).isNull())
-    heavy = df.where(F.col(key_col).isin(keys))
-    return SkewTriple(light=light, heavy=heavy, keys=keys)
+        return SkewTriple(df, None, keys or [], key_id(key))
+    k = _col(key)
+    heavy = k.isin([_literal(v) for v in keys])
+    return SkewTriple(
+        df.where(~heavy | k.isNull()), df.where(heavy), keys, key_id(key)
+    )
 
 
 def skew_join(
     x: SkewTriple,
     y: DataFrame,
-    x_key: str,
-    y_key: str,
+    x_key: Key,
+    y_key: Key,
     cond,
     how: str,
+    metrics: MetricsCollector = NO_METRICS,
 ) -> SkewTriple:
     """Fig. 6 skew-aware join: X (triple) ⋈ Y on cond.
 
-    Recomputes heavy keys of X on ``x_key`` when unknown, splits Y on
-    the same key set, joins light parts with the standard shuffle
-    join and heavy parts with a broadcast of Y's heavy part.
+    Samples X on ``x_key`` unless its heavy keys were sampled on that
+    key, splits X and Y on the key set, joins light parts with the
+    standard shuffle join and heavy parts with a broadcast of Y's heavy
+    part.
     """
-    hk = x.keys
-    if hk is None:
-        hk = heavy_keys(x.union(), x_key)
-        x = split(x.union(), x_key, hk)
-    if not hk:
-        return SkewTriple(light=x.union().join(y, cond, how), heavy=None, keys=[])
-    y_light = y.where(~F.col(y_key).isin(hk) | F.col(y_key).isNull())
-    y_heavy = y.where(F.col(y_key).isin(hk))
-    light = x.light.join(y_light, cond, how)
-    heavy = (x.heavy if x.heavy is not None else x.light.limit(0)).join(
-        F.broadcast(y_heavy), cond, how
+    df = x.union()
+    hk = x.keys if x.key == key_id(x_key) else None
+    x = split(df, x_key, heavy_keys(df, x_key) if hk is None else hk)
+    if not x.keys:
+        metrics.record("join:left", df)
+        metrics.record("join:right", y)
+        return SkewTriple(df.join(y, cond, how), None, x.keys, x.key)
+    yt = split(y, y_key, x.keys)
+    metrics.record("join:left(light)", x.light)
+    metrics.record("join:right(light)", yt.light)
+    metrics.record("join:right(heavy)", yt.heavy, kind="broadcast")
+    return SkewTriple(
+        x.light.join(yt.light, cond, how),
+        x.heavy.join(F.broadcast(yt.heavy), cond, how),
+        x.keys,
+        x.key,
     )
-    return SkewTriple(light=light, heavy=heavy, keys=hk)
 
 
 def skew_bag_to_dict(df: DataFrame, label_col: str = "label") -> SkewTriple:
     """Skew-aware BagToDict: repartition light labels only (Fig. 6)."""
-    hk = heavy_keys(df, label_col)
-    t = split(df, label_col, hk)
-    light = t.light.repartition(label_col)
-    return SkewTriple(light=light, heavy=t.heavy, keys=hk)
+    t = split(df, label_col, heavy_keys(df, label_col))
+    return SkewTriple(t.light.repartition(label_col), t.heavy, t.keys, t.key)

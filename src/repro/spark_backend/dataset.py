@@ -18,6 +18,7 @@ Both modes optionally account simulated shuffle via a
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from pyspark.sql import Column, DataFrame
@@ -169,10 +170,8 @@ def execute_skew(
     plan: P.Plan, catalog: Catalog, metrics: MetricsCollector = NO_METRICS
 ) -> SK.SkewTriple:
     def both(t: SK.SkewTriple, f) -> SK.SkewTriple:
-        return SK.SkewTriple(
-            light=f(t.light),
-            heavy=None if t.heavy is None else f(t.heavy),
-            keys=t.keys,
+        return replace(
+            t, light=f(t.light), heavy=None if t.heavy is None else f(t.heavy)
         )
 
     if isinstance(plan, (P.Scan, P.ScanRaw)):
@@ -205,7 +204,7 @@ def execute_skew(
                 F.monotonically_increasing_id() + F.lit(_HEAVY_ID_OFFSET),
             )
         )
-        return SK.SkewTriple(light, heavy, t.keys)
+        return replace(t, light=light, heavy=heavy)
     if isinstance(plan, P.Unnest):
         t = execute_skew(plan.child, catalog, metrics)
         return both(t, lambda d: _unnest(d, plan))
@@ -213,7 +212,18 @@ def execute_skew(
         t = execute_skew(plan.child, catalog, metrics)
         return both(t, lambda d: _with_empty_array(d, plan.col))
     if isinstance(plan, P.Join):
-        return _skew_join(plan, catalog, metrics)
+        x = execute_skew(plan.left, catalog, metrics)
+        y = execute_skew(plan.right, catalog, metrics).union()
+        if plan.how == "cross" or not plan.conds:
+            df = x.union()
+            metrics.record("join:left", df)
+            metrics.record("join:right(cross)", y, kind="broadcast")
+            return SK.SkewTriple(df.crossJoin(y), None, None)
+        lkey, rkey = plan.conds[0]
+        return SK.skew_join(
+            x, y, to_spark(lkey), to_spark(rkey), _join_cond(plan), plan.how,
+            metrics,
+        )
     if isinstance(plan, P.NestBag):
         # Γ merges components and follows the standard implementation.
         df = execute_skew(plan.child, catalog, metrics).union()
@@ -229,51 +239,9 @@ def execute_skew(
         return SK.SkewTriple(df.distinct(), None, None)
     if isinstance(plan, P.Repartition):
         # Skew-aware BagToDict: repartition light labels only.
+        (label,) = plan.cols
         df = execute_skew(plan.child, catalog, metrics).union()
-        hk = SK.heavy_keys(df, plan.cols[0])
-        t = SK.split(df, plan.cols[0], hk)
-        metrics.record(f"repartition:{','.join(plan.cols)}", t.light)
-        return SK.SkewTriple(
-            t.light.repartition(*[F.col(c) for c in plan.cols]),
-            t.heavy,
-            hk,
-        )
+        t = SK.skew_bag_to_dict(df, label)
+        metrics.record(f"repartition:{label}", t.light)
+        return t
     raise TypeError(f"unknown plan node {plan!r}")
-
-
-def _skew_join(
-    plan: P.Join, catalog: Catalog, metrics: MetricsCollector
-) -> SK.SkewTriple:
-    x = execute_skew(plan.left, catalog, metrics)
-    y = execute_skew(plan.right, catalog, metrics).union()
-    if plan.how == "cross" or not plan.conds:
-        df = x.union()
-        metrics.record("join:left", df)
-        metrics.record("join:right(cross)", y, kind="broadcast")
-        return SK.SkewTriple(df.crossJoin(y), None, None)
-
-    from ..core.sexpr import Col, RawCol
-
-    lkey_expr, rkey_expr = plan.conds[0]
-    lkey = lkey_expr.colname if isinstance(lkey_expr, Col) else lkey_expr.name  # type: ignore[union-attr]
-    rkey = rkey_expr.colname if isinstance(rkey_expr, Col) else rkey_expr.name  # type: ignore[union-attr]
-    cond = _join_cond(plan)
-
-    hk = x.keys
-    if hk is None:
-        hk = SK.heavy_keys(x.union(), lkey)
-    if not hk:
-        df = x.union()
-        metrics.record("join:left", df)
-        metrics.record("join:right", y)
-        return SK.SkewTriple(df.join(y, cond, plan.how), None, hk)
-
-    x = SK.split(x.union(), lkey, hk)
-    y_light = y.where(~F.col(rkey).isin(hk) | F.col(rkey).isNull())
-    y_heavy = y.where(F.col(rkey).isin(hk))
-    metrics.record("join:left(light)", x.light)
-    metrics.record("join:right(light)", y_light)
-    metrics.record("join:right(heavy)", y_heavy, kind="broadcast")
-    light = x.light.join(y_light, cond, plan.how)
-    heavy = x.heavy.join(F.broadcast(y_heavy), cond, plan.how)
-    return SK.SkewTriple(light, heavy, hk)

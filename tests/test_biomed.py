@@ -22,13 +22,14 @@ def test_pipeline_standard(biomed):
         types[name] = N.infer_type(e, types)
 
 
-def test_pipeline_shredded(biomed):
+@pytest.mark.parametrize("skew", [False, True])
+def test_pipeline_shredded(biomed, skew):
     """Steps 1–5 via the shredded route; intermediate outputs stay
     shredded — no reconstruction between steps (§1's motivation)."""
     cat, types = biomed["cat"], dict(BQ.BASE_TYPES)
     for name, step in zip(BQ.STEP_NAMES, BQ.STEPS):
         e = step()
-        run = api.shredded_route(e, types, name, cat)
+        run = api.shredded_route(e, types, name, cat, skew=skew)
         expected = biomed["expected_steps"][name]
         if name == "Connectivity":
             check(run.flat, expected, f"shred {name}")
