@@ -5,13 +5,18 @@
   tuples of some partition carry it.  The threshold bounds the number
   of heavy keys (≤ 100/2.5 = 40 per partition's sample), which keeps
   broadcasting them cheap.
-* :class:`SkewTriple` — (light bag, heavy bag, heavy-key set, and the
-  key the set was sampled on, which is reused only for that key).
+* :class:`SkewTriple` — (light bag, heavy bag, and the heavy keys it
+  carries, one set per key: ``{key_id: heavy key values}``).
 * :func:`skew_join` — light⋈light with the standard shuffle join;
   heavy⋈broadcast(heavy side of the smaller relation), so values of
   heavy keys in the big relation stay where they are.
 * :func:`skew_bag_to_dict` — BagToDict: repartition only the light
   labels; heavy labels keep their current distribution.
+
+Both operators split on the heavy keys their input carries for the key
+and sample the input only when it carries none.  :func:`split` is exact
+for any key set, so where the keys were sampled decides only which
+rows take the broadcast path, never the result.
 
 Nest operators merge the two components and run the standard
 implementation, returning a triple with an empty heavy part
@@ -19,7 +24,7 @@ implementation, returning a triple with an empty heavy part
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from pyspark.sql import Column, DataFrame, Row, Window
@@ -39,18 +44,20 @@ def _col(key: Key) -> Column:
 
 
 def key_id(key: Key) -> str:
-    """What a triple records of the key its heavy keys were sampled on."""
-    return str(_col(key))
+    """Where a triple carries a key's heavy keys: a column's name, or
+    an expression's string form."""
+    return key if isinstance(key, str) else str(key)
 
 
 @dataclass
 class SkewTriple:
-    """Light component, heavy component (may be None=empty), heavy keys."""
+    """Light component, heavy component (may be None=empty), and the
+    heavy keys known for its keys (``{key_id: values}``; a key without
+    an entry is unknown)."""
 
     light: DataFrame
     heavy: Optional[DataFrame]
-    keys: Optional[list]  # heavy key values; None = unknown
-    key: Optional[str] = None  # key_id of the key ``keys`` were sampled on
+    keys: dict[str, list] = field(default_factory=dict)
 
     def union(self) -> DataFrame:
         if self.heavy is None:
@@ -104,14 +111,19 @@ def heavy_keys(
     return list(dict.fromkeys(r["__k"] for r in rows))
 
 
-def split(df: DataFrame, key: Key, keys: Optional[list]) -> SkewTriple:
-    """Split a bag into a skew-triple on known heavy keys."""
+def split(df: DataFrame, key: Key, keys: list) -> SkewTriple:
+    """Split a bag into a skew-triple on a heavy-key set.
+
+    Exact for any set: a row is heavy iff its key value is in the set.
+    NULL keys are light, and a NULL in the set is ignored.
+    """
+    keys = [v for v in keys if v is not None]
     if not keys:
-        return SkewTriple(df, None, keys or [], key_id(key))
+        return SkewTriple(df, None, {key_id(key): keys})
     k = _col(key)
     heavy = k.isin([_literal(v) for v in keys])
     return SkewTriple(
-        df.where(~heavy | k.isNull()), df.where(heavy), keys, key_id(key)
+        df.where(~heavy | k.isNull()), df.where(heavy), {key_id(key): keys}
     )
 
 
@@ -126,19 +138,22 @@ def skew_join(
 ) -> SkewTriple:
     """Fig. 6 skew-aware join: X (triple) ⋈ Y on cond.
 
-    Samples X on ``x_key`` unless its heavy keys were sampled on that
-    key, splits X and Y on the key set, joins light parts with the
-    standard shuffle join and heavy parts with a broadcast of Y's heavy
-    part.
+    Takes X's heavy keys for ``x_key`` from the triple, sampling X only
+    when it carries none; splits X and Y on that key set, joins light
+    parts with the standard shuffle join and heavy parts with a
+    broadcast of Y's heavy part.  The result carries the key set under
+    ``x_key``.
     """
     df = x.union()
-    hk = x.keys if x.key == key_id(x_key) else None
-    x = split(df, x_key, heavy_keys(df, x_key) if hk is None else hk)
-    if not x.keys:
+    hk = x.keys.get(key_id(x_key))
+    if hk is None:
+        hk = heavy_keys(df, x_key)
+    x = split(df, x_key, hk)
+    if x.heavy is None:
         metrics.record("join:left", df)
         metrics.record("join:right", y)
-        return SkewTriple(df.join(y, cond, how), None, x.keys, x.key)
-    yt = split(y, y_key, x.keys)
+        return SkewTriple(df.join(y, cond, how), None, x.keys)
+    yt = split(y, y_key, hk)
     metrics.record("join:left(light)", x.light)
     metrics.record("join:right(light)", yt.light)
     metrics.record("join:right(heavy)", yt.heavy, kind="broadcast")
@@ -146,11 +161,15 @@ def skew_join(
         x.light.join(yt.light, cond, how),
         x.heavy.join(F.broadcast(yt.heavy), cond, how),
         x.keys,
-        x.key,
     )
 
 
-def skew_bag_to_dict(df: DataFrame, label_col: str = "label") -> SkewTriple:
-    """Skew-aware BagToDict: repartition light labels only (Fig. 6)."""
-    t = split(df, label_col, heavy_keys(df, label_col))
-    return SkewTriple(t.light.repartition(label_col), t.heavy, t.keys, t.key)
+def skew_bag_to_dict(
+    df: DataFrame, label_col: str = "label", keys: Optional[list] = None
+) -> SkewTriple:
+    """Skew-aware BagToDict: repartition light labels only (Fig. 6).
+
+    Splits on ``keys`` when given, otherwise on a sample of ``df``.
+    """
+    t = split(df, label_col, heavy_keys(df, label_col) if keys is None else keys)
+    return SkewTriple(t.light.repartition(label_col), t.heavy, t.keys)

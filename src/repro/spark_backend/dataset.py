@@ -27,7 +27,7 @@ from pyspark.sql import functions as F
 from ..core import plan_ops as P
 from ..core import skew as SK
 from ..core.metrics import NO_METRICS, MetricsCollector
-from ..core.sexpr import SExpr, to_spark
+from ..core.sexpr import Col, RawCol, SExpr, cname, to_spark
 from .catalog import Catalog
 
 _HEAVY_ID_OFFSET = 1 << 61
@@ -167,32 +167,69 @@ def _with_empty_array(df: DataFrame, col: str) -> DataFrame:
 
 
 def execute_skew(
-    plan: P.Plan, catalog: Catalog, metrics: MetricsCollector = NO_METRICS
+    plan: P.Plan,
+    catalog: Catalog,
+    metrics: MetricsCollector = NO_METRICS,
+    demand: frozenset = frozenset(),
 ) -> SK.SkewTriple:
+    """Execute a plan skew-aware; returns its output as a skew-triple.
+
+    ``demand`` names output columns that an operator above will split on
+    (a join's left key, a BagToDict label).  A demanded column is traced
+    down through operators that neither duplicate a row nor change its
+    key value (``Select``, renames, ``Repartition``, ``Distinct``, Γ
+    grouping keys, the left side of an N:1 lookup, see
+    :func:`_is_lookup`) and is sampled once where it is scanned, over
+    the cached catalog frame; the triple carries its heavy keys up under
+    the column's name.  A key traced no further is sampled by the
+    operator that splits on it.
+    """
+
     def both(t: SK.SkewTriple, f) -> SK.SkewTriple:
         return replace(
             t, light=f(t.light), heavy=None if t.heavy is None else f(t.heavy)
         )
 
     if isinstance(plan, (P.Scan, P.ScanRaw)):
-        return SK.SkewTriple(execute(plan, catalog, metrics), None, None)
+        src = catalog.get(plan.table)
+        name = (
+            (lambda c: cname(plan.var, c))
+            if isinstance(plan, P.Scan)
+            else (lambda c: c)
+        )
+        keys = {
+            name(c): SK.heavy_keys(src, c)
+            for c in (src.columns if demand else [])
+            if name(c) in demand
+        }
+        return SK.SkewTriple(execute(plan, catalog, metrics), None, keys)
     if isinstance(plan, P.Select):
-        t = execute_skew(plan.child, catalog, metrics)
+        t = execute_skew(plan.child, catalog, metrics, demand)
         return both(t, lambda d: d.filter(to_spark(plan.pred)))
-    if isinstance(plan, P.Project):
-        t = execute_skew(plan.child, catalog, metrics)
-        return both(
-            t,
-            lambda d: d.select(
-                *[to_spark(sx).alias(n) for n, sx in plan.cols]
-            ),
-        )
-    if isinstance(plan, P.Extend):
-        t = execute_skew(plan.child, catalog, metrics)
-        return both(
-            t,
-            lambda d: d.withColumns({n: to_spark(sx) for n, sx in plan.cols}),
-        )
+    if isinstance(plan, (P.Project, P.Extend)):
+        # A renamed column keeps its heavy keys, a computed one has none;
+        # Extend also keeps its child's other columns.
+        extend = isinstance(plan, P.Extend)
+        src = {n: _col_name(sx) for n, sx in plan.cols}
+        below = {src.get(n, n) for n in demand if n in src or extend}
+        t = execute_skew(plan.child, catalog, metrics, frozenset(below - {None}))
+        keys = {k: v for k, v in t.keys.items() if extend and k not in src}
+        keys.update({n: t.keys[c] for n, c in src.items() if c in t.keys})
+        if extend:
+            t = both(
+                t,
+                lambda d: d.withColumns(
+                    {n: to_spark(sx) for n, sx in plan.cols}
+                ),
+            )
+        else:
+            t = both(
+                t,
+                lambda d: d.select(
+                    *[to_spark(sx).alias(n) for n, sx in plan.cols]
+                ),
+            )
+        return replace(t, keys=keys)
     if isinstance(plan, P.AddId):
         t = execute_skew(plan.child, catalog, metrics)
         light = t.light.withColumn(plan.out, F.monotonically_increasing_id())
@@ -212,36 +249,75 @@ def execute_skew(
         t = execute_skew(plan.child, catalog, metrics)
         return both(t, lambda d: _with_empty_array(d, plan.col))
     if isinstance(plan, P.Join):
-        x = execute_skew(plan.left, catalog, metrics)
-        y = execute_skew(plan.right, catalog, metrics).union()
         if plan.how == "cross" or not plan.conds:
-            df = x.union()
+            df = execute_skew(plan.left, catalog, metrics).union()
+            y = execute_skew(plan.right, catalog, metrics).union()
             metrics.record("join:left", df)
             metrics.record("join:right(cross)", y, kind="broadcast")
-            return SK.SkewTriple(df.crossJoin(y), None, None)
-        lkey, rkey = plan.conds[0]
-        return SK.skew_join(
-            x, y, to_spark(lkey), to_spark(rkey), _join_cond(plan), plan.how,
-            metrics,
-        )
-    if isinstance(plan, P.NestBag):
-        # Γ merges components and follows the standard implementation.
-        df = execute_skew(plan.child, catalog, metrics).union()
-        metrics.record(f"nestbag:{plan.out}", df)
-        return SK.SkewTriple(_nest_bag(df, plan), None, None)
-    if isinstance(plan, P.NestSum):
-        df = execute_skew(plan.child, catalog, metrics).union()
-        metrics.record(f"nestsum:{','.join(n for n, _ in plan.values)}", df)
-        return SK.SkewTriple(_nest_sum(df, plan), None, None)
+            return SK.SkewTriple(df.crossJoin(y), None)
+        lkey, rkey = (_key(k) for k in plan.conds[0])
+        lookup = _is_lookup(plan, catalog)
+        below = demand if lookup else frozenset()
+        if isinstance(lkey, str):
+            below |= {lkey}
+        x = execute_skew(plan.left, catalog, metrics, below)
+        y = execute_skew(plan.right, catalog, metrics).union()
+        t = SK.skew_join(x, y, lkey, rkey, _join_cond(plan), plan.how, metrics)
+        # A lookup keeps each left row's values: the left keys stay valid.
+        return replace(t, keys={**x.keys, **t.keys}) if lookup else t
+    if isinstance(plan, (P.NestBag, P.NestSum)):
+        # Γ merges components and follows the standard implementation;
+        # its grouping keys keep their heavy keys.
+        t = execute_skew(plan.child, catalog, metrics, demand & set(plan.keys))
+        df = t.union()
+        if isinstance(plan, P.NestBag):
+            metrics.record(f"nestbag:{plan.out}", df)
+            df = _nest_bag(df, plan)
+        else:
+            metrics.record(
+                f"nestsum:{','.join(n for n, _ in plan.values)}", df
+            )
+            df = _nest_sum(df, plan)
+        keys = {k: v for k, v in t.keys.items() if k in plan.keys}
+        return SK.SkewTriple(df, None, keys)
     if isinstance(plan, P.Distinct):
-        df = execute_skew(plan.child, catalog, metrics).union()
+        t = execute_skew(plan.child, catalog, metrics, demand)
+        df = t.union()
         metrics.record("distinct", df)
-        return SK.SkewTriple(df.distinct(), None, None)
+        return SK.SkewTriple(df.distinct(), None, t.keys)
     if isinstance(plan, P.Repartition):
         # Skew-aware BagToDict: repartition light labels only.
         (label,) = plan.cols
-        df = execute_skew(plan.child, catalog, metrics).union()
-        t = SK.skew_bag_to_dict(df, label)
-        metrics.record(f"repartition:{label}", t.light)
-        return t
+        t = execute_skew(plan.child, catalog, metrics, demand | {label})
+        b = SK.skew_bag_to_dict(t.union(), label, t.keys.get(label))
+        metrics.record(f"repartition:{label}", b.light)
+        return replace(b, keys={**t.keys, **b.keys})
     raise TypeError(f"unknown plan node {plan!r}")
+
+
+def _col_name(sx: SExpr) -> Optional[str]:
+    """The column an expression merely reads, if it is a plain column."""
+    if isinstance(sx, Col):
+        return sx.colname
+    if isinstance(sx, RawCol):
+        return sx.name
+    return None
+
+
+def _key(sx: SExpr):
+    """A join key for ``skew_join``: a column name, or an expression."""
+    name = _col_name(sx)
+    return to_spark(sx) if name is None else name
+
+
+def _is_lookup(plan: P.Join, catalog: Catalog) -> bool:
+    """Whether every left row meets at most one right row (N:1): the
+    right side is a scanned table joined on one of its unique keys."""
+    r = plan.right
+    if isinstance(r, P.Scan):
+        unique = {cname(r.var, k) for k in catalog.unique_keys.get(r.table, ())}
+    elif isinstance(r, P.ScanRaw):
+        unique = catalog.unique_keys.get(r.table, set())
+    else:
+        return False
+    return any(_col_name(k) in unique for _, k in plan.conds)

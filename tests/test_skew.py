@@ -1,4 +1,5 @@
 """Skew-resilient processing (§5, Fig. 6)."""
+import random
 from collections import Counter, defaultdict
 
 import pytest
@@ -8,7 +9,9 @@ from pyspark.sql import functions as F
 from repro.bench import tpch_queries as TQ
 from repro.core import api
 from repro.core import nrc_interp as I
+from repro.core import plan_ops as P
 from repro.core import skew as SK
+from repro.core.sexpr import Col
 from repro.core.unnest import compile_standard
 from repro.spark_backend import dataset as DS
 
@@ -82,7 +85,7 @@ def test_skew_join_matches_plain_join(skcat):
     t = SK.split(li, "l_partkey", SK.heavy_keys(li, "l_partkey", sample_fraction=0.5))
     sk = SK.skew_join(t, part, "l_partkey", "p_partkey", cond, "inner")
     assert sk.union().count() == plain
-    assert sk.keys  # heavy keys propagate through the join
+    assert sk.keys["l_partkey"]  # heavy keys propagate through the join
 
 
 def test_skew_bag_to_dict_preserves_rows(skcat):
@@ -229,21 +232,27 @@ def test_heavy_keys_on_key_expression(spark):
 def test_heavy_keys_runs_two_stages(spark):
     """One shuffle: the sample's map stage and the stage that counts."""
     df = _ids(spark, 4000, 4).select((F.col("id") % 7).alias("k"))
-    sc = spark.sparkContext
     group = "test-heavy-keys-stages"
-    sc.setJobGroup(group, "heavy_keys")
+    assert _stages_with_tasks(spark, group, lambda: SK.heavy_keys(df, "k")) == 2
+
+
+def _stages_with_tasks(spark, group, op) -> int:
+    """Stages that ran tasks for ``op``'s jobs.  Under AQE a job lists
+    the map stages it reuses again, as skipped stages; a full status
+    store drops skipped stages first, so their info may be gone."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
     try:
-        SK.heavy_keys(df, "k")
+        op()
     finally:
         sc.setJobGroup("", "")
     tracker = sc.statusTracker()
-    stages = [
+    infos = [
         tracker.getStageInfo(s)
         for j in tracker.getJobIdsForGroup(group)
         for s in tracker.getJobInfo(j).stageIds
     ]
-    # under AQE the final job lists the map stage again, skipped
-    assert sum(1 for s in stages if s.numCompletedTasks > 0) == 2
+    return sum(1 for i in infos if i is not None and i.numCompletedTasks > 0)
 
 
 def test_skew_join_resamples_for_another_key(skcat):
@@ -253,5 +262,259 @@ def test_skew_join_resamples_for_another_key(skcat):
     t = SK.split(li, "l_orderkey", [1])
     cond = li["l_partkey"] == part["p_partkey"]
     sk = SK.skew_join(t, part, "l_partkey", "p_partkey", cond, "inner")
-    assert sk.key == SK.key_id("l_partkey")
+    assert sk.keys == {"l_partkey": SK.heavy_keys(t.union(), "l_partkey")}
     assert sk.union().count() == li.join(part, cond, "inner").count()
+
+
+# --------------------------------------------------------------------------
+# split / skew_join / skew_bag_to_dict on forced key sets (no sampler)
+# --------------------------------------------------------------------------
+
+_X_KEYS = [None] * 5 + [1] * 40 + [2] * 12 + list(range(3, 30))
+_Y_KEYS = [None, 1, 1, 2, 3, 5, 8, 13, 21, 34, 35]
+
+FORCED = {
+    "empty": [],
+    "random": random.Random(3).sample(sorted(set(_X_KEYS) - {None}), 6),
+    "every": [None, *sorted(set(_X_KEYS) - {None})],
+    "null": [None, 1],
+    "absent": [999],
+}
+
+
+@pytest.fixture(scope="module")
+def xy(spark):
+    x = spark.createDataFrame(
+        [(k, i) for i, k in enumerate(_X_KEYS)], "xk long, xv long"
+    )
+    y = spark.createDataFrame(
+        [(k, -i) for i, k in enumerate(_Y_KEYS)], "yk long, yw long"
+    )
+    return x, y
+
+
+def _bag(df):
+    return Counter(tuple(r) for r in df.collect())
+
+
+def _noop(df):
+    df.write.format("noop").mode("overwrite").save()
+
+
+@pytest.mark.parametrize("forced", FORCED, ids=list(FORCED))
+def test_split_is_exact_for_any_key_set(xy, forced):
+    x, _ = xy
+    heavy = [k for k in FORCED[forced] if k is not None]
+    t = SK.split(x, "xk", FORCED[forced])
+    assert t.keys == {"xk": heavy}  # NULL is never heavy
+    assert _bag(t.union()) == _bag(x)
+    if t.heavy is not None:
+        assert {r["xk"] for r in t.heavy.collect()} <= set(heavy)
+    assert not {r["xk"] for r in t.light.collect()} & set(heavy)
+
+
+@pytest.mark.parametrize("how", ["inner", "left_outer"])
+@pytest.mark.parametrize("forced", FORCED, ids=list(FORCED))
+def test_skew_join_is_exact_for_any_key_set(xy, forced, how):
+    x, y = xy
+    cond = F.col("xk") == F.col("yk")
+    t = SK.SkewTriple(x, None, {"xk": FORCED[forced]})
+    sk = SK.skew_join(t, y, "xk", "yk", cond, how)
+    assert _bag(sk.union()) == _bag(x.join(y, cond, how))
+
+
+@pytest.mark.parametrize("forced", FORCED, ids=list(FORCED))
+def test_skew_bag_to_dict_is_exact_for_any_key_set(xy, forced):
+    x, _ = xy
+    t = SK.skew_bag_to_dict(x, "xk", FORCED[forced])
+    assert _bag(t.union()) == _bag(x.repartition("xk"))
+    # the light labels are hash-partitioned: one partition per label
+    spread = (
+        t.light.select("xk", F.spark_partition_id().alias("pid"))
+        .distinct()
+        .groupBy("xk")
+        .count()
+        .where("count > 1")
+    )
+    assert spread.count() == 0
+
+
+# --------------------------------------------------------------------------
+# Where heavy keys are sampled
+# --------------------------------------------------------------------------
+
+
+def _record_samples(monkeypatch):
+    """Record every ``SK.heavy_keys`` call: (frame, key, heavy keys)."""
+    calls, real = [], SK.heavy_keys
+
+    def recording(df, key, *args, **kwargs):
+        keys = real(df, key, *args, **kwargs)
+        calls.append((df, key, keys))
+        return keys
+
+    monkeypatch.setattr(SK, "heavy_keys", recording)
+    return calls, real
+
+
+def _plan_nodes(df) -> list[str]:
+    """Node names of the frame's optimized logical plan."""
+    names, todo = [], [df._jdf.queryExecution().optimizedPlan()]
+    while todo:
+        node = todo.pop()
+        names.append(node.nodeName())
+        kids = node.children()
+        todo.extend(kids.apply(i) for i in range(kids.size()))
+    return names
+
+
+def _computes(df) -> bool:
+    """Whether sampling the frame recomputes a join or an aggregation."""
+    return any("Join" in n or "Aggregate" in n for n in _plan_nodes(df))
+
+
+def _n2n_types():
+    name = TQ.input_bag_name(2, False)
+    return {**TQ.BASE_TYPES, name: TQ.flat_to_nested_type(2, False)}
+
+
+def test_shred_skew_samples_cached_sources(skcat, monkeypatch):
+    cat = skcat["cat"]
+    e = TQ.nested_to_nested(2, False)
+    calls, real = _record_samples(monkeypatch)
+    run = api.shredded_route(e, _n2n_types(), "sk_src", cat, skew=True)
+    # BagToDict of corders; the join of oparts with Part and the
+    # BagToDict after Γ, both traced to the oparts dictionary
+    assert len(calls) == 3
+    assert not any(_computes(df) for df, _, _ in calls)
+    check(api.unshred_result(run), I.evaluate(e, skcat["env"]), "shred_skew")
+
+    source = cat.get(f"{skcat['input']}__dict__corders__oparts")
+    name, plan = run.compiled.assignments[-1]
+    assert name == "sk_src__dict__corders__oparts"
+    join = next(p for p in P.walk(plan) if isinstance(p, P.Join))
+    assert DS.execute_skew(plan, cat).keys["label"] == real(source, "label")
+    assert DS.execute_skew(join, cat).keys["x2__pid"] == real(source, "pid")
+
+
+def test_standard_skew_samples_after_unnest(skcat, monkeypatch):
+    """The join key comes out of an Unnest: sampled at the join."""
+    calls, _ = _record_samples(monkeypatch)
+    df = api.standard_route(
+        TQ.nested_to_nested(2, False), _n2n_types(), skcat["cat"],
+        opt="full", skew=True,
+    )
+    ((sampled, key, _),) = calls
+    assert key == "x2__pid"
+    assert "Generate" in _plan_nodes(sampled)
+    _noop(df)
+
+
+def _join(left, right, lkey, rkey):
+    return P.Join(left, right, ((lkey, rkey),), "inner")
+
+
+@pytest.mark.parametrize(
+    "plan, sampled",
+    [
+        # Lineitem ⋈ Part is a lookup (p_partkey is unique): both keys
+        # are sampled where Lineitem is scanned
+        (
+            _join(
+                _join(
+                    P.Scan("Lineitem", "l"), P.Scan("Part", "p"),
+                    Col("l", "l_partkey"), Col("p", "p_partkey"),
+                ),
+                P.Scan("Orders", "o"),
+                Col("l", "l_orderkey"), Col("o", "o_orderkey"),
+            ),
+            [("l_orderkey", False), ("l_partkey", False)],
+        ),
+        # Orders ⋈ Lineitem is 1:N: a key from its left side is sampled
+        # at the join above it
+        (
+            _join(
+                _join(
+                    P.Scan("Orders", "o"), P.Scan("Lineitem", "l"),
+                    Col("o", "o_orderkey"), Col("l", "l_orderkey"),
+                ),
+                P.Scan("Customer", "c"),
+                Col("o", "o_custkey"), Col("c", "c_custkey"),
+            ),
+            [("o_orderkey", False), ("o__o_custkey", True)],
+        ),
+    ],
+    ids=["after_lookup", "after_1_to_n"],
+)
+def test_keys_traced_through_lookups_only(skcat, monkeypatch, plan, sampled):
+    calls, _ = _record_samples(monkeypatch)
+    t = DS.execute_skew(plan, skcat["cat"])
+    assert [(key, _computes(df)) for df, key, _ in calls] == sampled
+    cols = t.light.columns[:4]
+    want = DS.execute(plan, skcat["cat"]).select(*cols)
+    assert _bag(t.union().select(*cols)) == _bag(want)
+
+
+# --------------------------------------------------------------------------
+# Stage budget of one skew-aware operation
+# --------------------------------------------------------------------------
+
+# Stages that ran tasks for one operation at SF 0.002, z = 3, seed 11:
+# the route plus a noop write of every output.  A change that adds a
+# Spark job or an exchange to a skew-aware route moves these.  Sampling
+# at the cached sources took shred_skew from 24 to 20.
+SHRED_SKEW_STAGES = 20
+STANDARD_SKEW_STAGES = 9
+
+
+@pytest.fixture(scope="module")
+def budget_cat(spark):
+    """A catalog of its own, so no frame cached by another test serves
+    part of the operation."""
+    cat = TQ.load_tpch(spark, sf=SKEW_SF, skew=SKEW_Z, seed=11)
+    for name, df in cat.tables.items():
+        cat.tables[name] = df.cache()
+        cat.tables[name].count()
+    name = TQ.input_bag_name(2, False)
+    c = compile_standard(
+        TQ.hierarchy_for(TQ.flat_to_nested(2, False)), opt="full"
+    )
+    nested = DS.run(c.plan, cat).localCheckpoint(eager=True)
+    cat.add(name, nested)
+    s = api.shred_df(nested).cache()
+    s.count_all()
+    api.register_shredded(cat, name, s)
+    yield cat
+    for df in cat.tables.values():
+        df.unpersist()
+
+
+def test_shred_skew_stage_budget(spark, budget_cat):
+    out = []
+
+    def op():
+        run = api.shredded_route(
+            TQ.nested_to_nested(2, False), _n2n_types(), "budget", budget_cat,
+            skew=True,
+        )
+        out.extend([run.shredded.top, *run.shredded.dicts.values()])
+        for df in out:
+            _noop(df)
+
+    try:
+        stages = _stages_with_tasks(spark, "budget-shred-skew", op)
+        assert stages == SHRED_SKEW_STAGES
+    finally:
+        for df in out:
+            df.unpersist()
+
+
+def test_standard_skew_stage_budget(spark, budget_cat):
+    def op():
+        _noop(api.standard_route(
+            TQ.nested_to_nested(2, False), _n2n_types(), budget_cat,
+            opt="full", skew=True,
+        ))
+
+    stages = _stages_with_tasks(spark, "budget-standard-skew", op)
+    assert stages == STANDARD_SKEW_STAGES
