@@ -101,15 +101,33 @@ def shredded_route(
     (:func:`register_shredded`); their dictionary paths are discovered
     from the catalog.  Each materialization assignment is executed in
     sequence and registered back into the catalog, so later
-    assignments (and later pipeline steps) can reference it.
+    assignments (and later pipeline steps) can reference it.  With
+    ``skew``, the heavy keys every assignment samples at registered
+    sources are taken up front, in one batch.
     """
     q = to_hierarchy(e, types)
     shredded_inputs = shredded_input_paths(catalog)
     compiled = compile_shredded(
         q, qname, shredded_inputs, localized_agg=localized_agg
     )
+    source_keys = {}
+    if skew:
+        # One sampling job for the sources already registered; a table
+        # made by an earlier assignment is sampled when it is scanned.
+        made = {name for name, _ in compiled.assignments}
+        source_keys = DS.sample_sources(
+            [
+                d
+                for _, plan in compiled.assignments
+                for d in DS.source_demands(plan, catalog)
+                if d[0] not in made
+            ],
+            catalog,
+        )
     for name, plan in compiled.assignments:
-        df = DS.run(plan, catalog, skew=skew, metrics=metrics)
+        df = DS.run(
+            plan, catalog, skew=skew, metrics=metrics, source_keys=source_keys
+        )
         if persist:
             df = df.persist()
         catalog.add(name, df)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import nrc as N
-from .sexpr import BinOp, Col, IfScalar, Lit, Not, SExpr
+from .sexpr import BinOp, Col, IfScalar, Lit, Not, SExpr, children
 
 
 class NormalizationError(Exception):
@@ -129,13 +129,7 @@ def _split_conj(e: N.Expr) -> list[N.Expr]:
 def _sexpr_vars(e: SExpr) -> set[str]:
     if isinstance(e, Col):
         return {e.var}
-    if isinstance(e, BinOp):
-        return _sexpr_vars(e.left) | _sexpr_vars(e.right)
-    if isinstance(e, Not):
-        return _sexpr_vars(e.expr)
-    if isinstance(e, IfScalar):
-        return _sexpr_vars(e.cond) | _sexpr_vars(e.then_) | _sexpr_vars(e.else_)
-    return set()
+    return set().union(*map(_sexpr_vars, children(e)))
 
 
 # --------------------------------------------------------------------------

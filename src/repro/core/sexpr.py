@@ -187,24 +187,35 @@ def eval_row(e: SExpr, row: dict[str, Any]) -> Any:
     raise TypeError(f"unknown SExpr {e!r}")
 
 
+def map_children(e: SExpr, f: Callable[[SExpr], SExpr]) -> SExpr:
+    """``e`` with ``f`` applied to each direct sub-expression: the one
+    child map every expression walker goes through."""
+    if isinstance(e, (Col, RawCol, Lit)):
+        return e
+    if isinstance(e, BinOp):
+        return BinOp(e.op, f(e.left), f(e.right))
+    if isinstance(e, (Not, IsNotNull)):
+        return type(e)(f(e.expr))
+    if isinstance(e, IfScalar):
+        return IfScalar(f(e.cond), f(e.then_), f(e.else_))
+    if isinstance(e, MkStruct):
+        return MkStruct(tuple((n, f(x)) for n, x in e.items))
+    if isinstance(e, GetField):
+        return GetField(f(e.expr), e.name)
+    raise TypeError(f"unknown SExpr {e!r}")
+
+
+def children(e: SExpr) -> list[SExpr]:
+    """The direct sub-expressions of ``e``."""
+    out: list[SExpr] = []
+    map_children(e, lambda x: out.append(x) or x)
+    return out
+
+
 def columns_of(e: SExpr) -> set[str]:
     """The set of flat column names referenced by ``e``."""
     if isinstance(e, Col):
         return {e.colname}
     if isinstance(e, RawCol):
         return {e.name}
-    if isinstance(e, Lit):
-        return set()
-    if isinstance(e, BinOp):
-        return columns_of(e.left) | columns_of(e.right)
-    if isinstance(e, Not):
-        return columns_of(e.expr)
-    if isinstance(e, IfScalar):
-        return columns_of(e.cond) | columns_of(e.then_) | columns_of(e.else_)
-    if isinstance(e, MkStruct):
-        return set().union(*(columns_of(x) for _, x in e.items)) if e.items else set()
-    if isinstance(e, GetField):
-        return columns_of(e.expr)
-    if isinstance(e, IsNotNull):
-        return columns_of(e.expr)
-    raise TypeError(f"unknown SExpr {e!r}")
+    return set().union(*map(columns_of, children(e)))

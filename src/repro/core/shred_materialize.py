@@ -51,12 +51,11 @@ from .sexpr import (
     BinOp,
     Col,
     GetField,
-    IfScalar,
-    Lit,
     MkStruct,
-    Not,
     RawCol,
     SExpr,
+    children,
+    map_children,
 )
 
 # --------------------------------------------------------------------------
@@ -104,25 +103,7 @@ class _Compiler:
     def _subst(self, e: SExpr, mapping: dict[tuple[str, str], SExpr]) -> SExpr:
         if isinstance(e, Col):
             return mapping.get((e.var, e.attr), e)
-        if isinstance(e, BinOp):
-            return BinOp(
-                e.op, self._subst(e.left, mapping), self._subst(e.right, mapping)
-            )
-        if isinstance(e, Not):
-            return Not(self._subst(e.expr, mapping))
-        if isinstance(e, IfScalar):
-            return IfScalar(
-                self._subst(e.cond, mapping),
-                self._subst(e.then_, mapping),
-                self._subst(e.else_, mapping),
-            )
-        if isinstance(e, MkStruct):
-            return MkStruct(
-                tuple((n, self._subst(x, mapping)) for n, x in e.items)
-            )
-        if isinstance(e, GetField):
-            return GetField(self._subst(e.expr, mapping), e.name)
-        return e
+        return map_children(e, lambda x: self._subst(x, mapping))
 
     # -- generator compilation ------------------------------------------
 
@@ -217,15 +198,8 @@ class _Compiler:
             if isinstance(sx, Col) and sx.var in enclosing:
                 if (sx.var, sx.attr) not in refs:
                     refs.append((sx.var, sx.attr))
-            elif isinstance(sx, BinOp):
-                add_expr(sx.left)
-                add_expr(sx.right)
-            elif isinstance(sx, Not):
-                add_expr(sx.expr)
-            elif isinstance(sx, IfScalar):
-                add_expr(sx.cond)
-                add_expr(sx.then_)
-                add_expr(sx.else_)
+            for x in children(sx):
+                add_expr(x)
 
         for g in level.gens:
             if g.path is not None and g.path[0] in enclosing:

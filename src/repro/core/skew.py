@@ -4,7 +4,8 @@
   *heavy* when at least ``threshold`` (default 2.5 %) of the sampled
   tuples of some partition carry it.  The threshold bounds the number
   of heavy keys (≤ 100/2.5 = 40 per partition's sample), which keeps
-  broadcasting them cheap.
+  broadcasting them cheap.  It takes a batch of (frame, key) requests
+  and samples them all in one Spark job.
 * :class:`SkewTriple` — (light bag, heavy bag, and the heavy keys it
   carries, one set per key: ``{key_id: heavy key values}``).
 * :func:`skew_join` — light⋈light with the standard shuffle join;
@@ -25,6 +26,7 @@ implementation, returning a triple with an empty heavy part
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional, Union
 
 from pyspark.sql import Column, DataFrame, Row, Window
@@ -73,42 +75,61 @@ def _literal(v) -> Column:
 
 
 def heavy_keys(
-    df: DataFrame,
-    key: Key,
+    requests: list[tuple[DataFrame, Key]],
     threshold: float = DEFAULT_THRESHOLD,
     sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
-) -> list:
-    """Heavy key values of ``df[key]`` via per-partition sampling.
+) -> list[list]:
+    """Heavy key values of ``frame[key]`` for each ``(frame, key)``
+    request, via per-partition sampling; one key list per request.
 
     Mirrors the paper's procedure: sample each partition, mark a key
     heavy when its share of that partition's sample reaches the
-    threshold.  Null keys are never heavy.  The sample is shuffled once,
-    on the partition id, which already clusters both the per-key counts
-    and the per-partition totals; the keys (at most 40 per partition)
-    are de-duplicated on the driver.
+    threshold.  Null keys are never heavy.  Requests whose keys share a
+    data type run in one Spark job: each samples its own frame as a
+    request of its own would, its partition id is tagged with the
+    request's index (``pid * n + i``), and the union of the samples is
+    shuffled once, on that tag, which already clusters both the
+    per-key counts and the per-partition totals.  The keys (at most 40
+    per partition) are de-duplicated on the driver.
     """
-    sample = (
-        df.select(F.spark_partition_id().alias("__pid"), _col(key).alias("__k"))
-        .sample(fraction=sample_fraction, seed=7)
-        .repartition("__pid")
-    )
-    counts = (
-        sample.groupBy("__pid", "__k")
-        .count()
-        .withColumn(
-            "__total", F.sum("count").over(Window.partitionBy("__pid"))
+    by_type: dict[str, list[tuple[int, DataFrame, Column]]] = {}
+    for i, (df, key) in enumerate(requests):
+        k = _col(key)
+        by_type.setdefault(
+            df.select(k).schema[0].dataType.simpleString(), []
+        ).append((i, df, k))
+    found: list[list] = [[] for _ in requests]
+    for batch in by_type.values():
+        n = len(batch)
+        sample = reduce(
+            DataFrame.union,
+            [
+                df.select(
+                    (F.spark_partition_id() * n + j).alias("__pid"),
+                    k.alias("__k"),
+                ).sample(fraction=sample_fraction, seed=7)
+                for j, (_, df, k) in enumerate(batch)
+            ],
+        ).repartition("__pid")
+        counts = (
+            sample.groupBy("__pid", "__k")
+            .count()
+            .withColumn(
+                "__total", F.sum("count").over(Window.partitionBy("__pid"))
+            )
         )
-    )
-    rows = (
-        counts.where(
-            (F.col("count") >= threshold * F.col("__total"))
-            & (F.col("__total") >= MIN_SAMPLE_PER_PARTITION)
-            & F.col("__k").isNotNull()
+        rows = (
+            counts.where(
+                (F.col("count") >= threshold * F.col("__total"))
+                & (F.col("__total") >= MIN_SAMPLE_PER_PARTITION)
+                & F.col("__k").isNotNull()
+            )
+            .select("__pid", "__k")
+            .collect()
         )
-        .select("__k")
-        .collect()
-    )
-    return list(dict.fromkeys(r["__k"] for r in rows))
+        for r in rows:
+            found[batch[r["__pid"] % n][0]].append(r["__k"])
+    return [list(dict.fromkeys(keys)) for keys in found]
 
 
 def split(df: DataFrame, key: Key, keys: list) -> SkewTriple:
@@ -147,7 +168,7 @@ def skew_join(
     df = x.union()
     hk = x.keys.get(key_id(x_key))
     if hk is None:
-        hk = heavy_keys(df, x_key)
+        (hk,) = heavy_keys([(df, x_key)])
     x = split(df, x_key, hk)
     if x.heavy is None:
         metrics.record("join:left", df)
@@ -171,5 +192,7 @@ def skew_bag_to_dict(
 
     Splits on ``keys`` when given, otherwise on a sample of ``df``.
     """
-    t = split(df, label_col, heavy_keys(df, label_col) if keys is None else keys)
+    if keys is None:
+        (keys,) = heavy_keys([(df, label_col)])
+    t = split(df, label_col, keys)
     return SkewTriple(t.light.repartition(label_col), t.heavy, t.keys)

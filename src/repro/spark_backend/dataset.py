@@ -11,7 +11,9 @@ Two execution modes:
 * :func:`execute_skew` — the skew-aware route (§5): every operator
   accepts and returns a :class:`~repro.core.skew.SkewTriple`; joins
   and ``Repartition`` (BagToDict) follow Fig. 6, Γ operators merge
-  the components and run standard.
+  the components and run standard.  A planning pass
+  (:func:`source_demands`) first finds the source columns to sample,
+  so one Spark job samples them all.
 
 Both modes optionally account simulated shuffle via a
 :class:`~repro.core.metrics.MetricsCollector`.
@@ -38,10 +40,13 @@ def run(
     catalog: Catalog,
     skew: bool = False,
     metrics: MetricsCollector = NO_METRICS,
+    source_keys: Optional[SourceKeys] = None,
 ) -> DataFrame:
-    """Execute a plan; in skew mode, returns the merged components."""
+    """Execute a plan; in skew mode, returns the merged components
+    (``source_keys``: heavy keys already sampled, see
+    :func:`execute_skew`)."""
     if skew:
-        return execute_skew(plan, catalog, metrics).union()
+        return execute_skew(plan, catalog, metrics, source_keys).union()
     return execute(plan, catalog, metrics)
 
 
@@ -166,133 +171,203 @@ def _with_empty_array(df: DataFrame, col: str) -> DataFrame:
 # --------------------------------------------------------------------------
 
 
+SourceKeys = dict[tuple[str, str], list]  # (table, column) -> heavy keys
+
+
+def source_demands(plan: P.Plan, catalog: Catalog) -> list[tuple[str, str]]:
+    """The ``(table, column)`` pairs :func:`execute_skew` samples where
+    the tables are scanned.  A pure walk: it reads schemas and
+    ``catalog.unique_keys`` and starts no Spark job."""
+    pairs = ((s.table, c) for s, c in _scan_demands(plan, catalog))
+    return list(dict.fromkeys(pairs))
+
+
+def sample_sources(
+    demands: list[tuple[str, str]], catalog: Catalog
+) -> SourceKeys:
+    """Heavy keys of each ``(table, column)`` over its catalog frame, in
+    one :func:`~repro.core.skew.heavy_keys` batch (none when empty)."""
+    demands = list(dict.fromkeys(demands))
+    if not demands:
+        return {}
+    keys = SK.heavy_keys([(catalog.get(t), c) for t, c in demands])
+    return dict(zip(demands, keys))
+
+
+def _scan_demands(plan: P.Plan, catalog: Catalog, demand=frozenset()):
+    """Yield ``(scan, column)`` for each column of a scanned table that an
+    operator above will split on (a join's left key, a BagToDict label).
+
+    ``demand`` names output columns of ``plan`` that are split on above.
+    A demanded column is traced down through operators that neither
+    duplicate a row nor change its key value (``Select``, renames,
+    ``Repartition``, ``Distinct``, Γ grouping keys, the left side of an
+    N:1 lookup, see :func:`_is_lookup`); a key traced no further is
+    sampled by the operator that splits on it.  A table not in the
+    catalog yet (made by an earlier assignment of the same route) has
+    no schema to read, so its demands show up once it is registered.
+    """
+    if isinstance(plan, (P.Scan, P.ScanRaw)):
+        if demand and plan.table in catalog.tables:
+            for c in catalog.get(plan.table).columns:
+                if _scan_name(plan, c) in demand:
+                    yield plan, c
+        return
+    if isinstance(plan, (P.Select, P.Distinct)):
+        below = demand
+    elif isinstance(plan, (P.Project, P.Extend)):
+        # A renamed column keeps its heavy keys, a computed one has none;
+        # Extend also keeps its child's other columns.
+        extend = isinstance(plan, P.Extend)
+        src = {n: _col_name(sx) for n, sx in plan.cols}
+        below = frozenset({src.get(n, n) for n in demand if n in src or extend})
+    elif isinstance(plan, P.Join):
+        below = frozenset()
+        if plan.how != "cross" and plan.conds:
+            if _is_lookup(plan, catalog):
+                below = demand
+            below |= {_col_name(plan.conds[0][0])}
+        yield from _scan_demands(plan.left, catalog, below - {None})
+        yield from _scan_demands(plan.right, catalog)
+        return
+    elif isinstance(plan, (P.NestBag, P.NestSum)):
+        below = demand & set(plan.keys)
+    elif isinstance(plan, P.Repartition):
+        below = demand | set(plan.cols)
+    else:  # AddId, Unnest, WithEmptyArray
+        below = frozenset()
+    yield from _scan_demands(plan.child, catalog, below - {None})
+
+
+def _scan_name(scan: P.Plan, column: str) -> str:
+    """The name a scanned table's column takes in the scan's output."""
+    return cname(scan.var, column) if isinstance(scan, P.Scan) else column
+
+
 def execute_skew(
     plan: P.Plan,
     catalog: Catalog,
     metrics: MetricsCollector = NO_METRICS,
-    demand: frozenset = frozenset(),
+    source_keys: Optional[SourceKeys] = None,
 ) -> SK.SkewTriple:
     """Execute a plan skew-aware; returns its output as a skew-triple.
 
-    ``demand`` names output columns that an operator above will split on
-    (a join's left key, a BagToDict label).  A demanded column is traced
-    down through operators that neither duplicate a row nor change its
-    key value (``Select``, renames, ``Repartition``, ``Distinct``, Γ
-    grouping keys, the left side of an N:1 lookup, see
-    :func:`_is_lookup`) and is sampled once where it is scanned, over
-    the cached catalog frame; the triple carries its heavy keys up under
-    the column's name.  A key traced no further is sampled by the
-    operator that splits on it.
+    Planning pass first: the plan's :func:`source_demands` not already
+    in ``source_keys`` are sampled in one batch over the cached catalog
+    frames.  Each ``Scan``/``ScanRaw`` then attaches the heavy keys of
+    its demanded columns, and the triple carries them up under the
+    column's output name.  Joins and BagToDict split on the keys they
+    receive and sample their own input only when they receive none.
     """
+    scans = list(_scan_demands(plan, catalog))
+    source_keys = dict(source_keys or {})
+    source_keys.update(
+        sample_sources(
+            [(s.table, c) for s, c in scans if (s.table, c) not in source_keys],
+            catalog,
+        )
+    )
+    at: dict[P.Plan, dict[str, list]] = {}
+    for s, c in scans:
+        at.setdefault(s, {})[_scan_name(s, c)] = source_keys[(s.table, c)]
 
     def both(t: SK.SkewTriple, f) -> SK.SkewTriple:
         return replace(
             t, light=f(t.light), heavy=None if t.heavy is None else f(t.heavy)
         )
 
-    if isinstance(plan, (P.Scan, P.ScanRaw)):
-        src = catalog.get(plan.table)
-        name = (
-            (lambda c: cname(plan.var, c))
-            if isinstance(plan, P.Scan)
-            else (lambda c: c)
-        )
-        keys = {
-            name(c): SK.heavy_keys(src, c)
-            for c in (src.columns if demand else [])
-            if name(c) in demand
-        }
-        return SK.SkewTriple(execute(plan, catalog, metrics), None, keys)
-    if isinstance(plan, P.Select):
-        t = execute_skew(plan.child, catalog, metrics, demand)
-        return both(t, lambda d: d.filter(to_spark(plan.pred)))
-    if isinstance(plan, (P.Project, P.Extend)):
-        # A renamed column keeps its heavy keys, a computed one has none;
-        # Extend also keeps its child's other columns.
-        extend = isinstance(plan, P.Extend)
-        src = {n: _col_name(sx) for n, sx in plan.cols}
-        below = {src.get(n, n) for n in demand if n in src or extend}
-        t = execute_skew(plan.child, catalog, metrics, frozenset(below - {None}))
-        keys = {k: v for k, v in t.keys.items() if extend and k not in src}
-        keys.update({n: t.keys[c] for n, c in src.items() if c in t.keys})
-        if extend:
-            t = both(
-                t,
-                lambda d: d.withColumns(
-                    {n: to_spark(sx) for n, sx in plan.cols}
-                ),
+    def go(plan: P.Plan) -> SK.SkewTriple:
+        if isinstance(plan, (P.Scan, P.ScanRaw)):
+            df = execute(plan, catalog, metrics)
+            return SK.SkewTriple(df, None, dict(at.get(plan, {})))
+        if isinstance(plan, P.Select):
+            return both(go(plan.child), lambda d: d.filter(to_spark(plan.pred)))
+        if isinstance(plan, (P.Project, P.Extend)):
+            # A renamed column keeps its heavy keys, a computed one has
+            # none; Extend also keeps its child's other columns.
+            extend = isinstance(plan, P.Extend)
+            src = {n: _col_name(sx) for n, sx in plan.cols}
+            t = go(plan.child)
+            keys = {k: v for k, v in t.keys.items() if extend and k not in src}
+            keys.update({n: t.keys[c] for n, c in src.items() if c in t.keys})
+            if extend:
+                t = both(
+                    t,
+                    lambda d: d.withColumns(
+                        {n: to_spark(sx) for n, sx in plan.cols}
+                    ),
+                )
+            else:
+                t = both(
+                    t,
+                    lambda d: d.select(
+                        *[to_spark(sx).alias(n) for n, sx in plan.cols]
+                    ),
+                )
+            return replace(t, keys=keys)
+        if isinstance(plan, P.AddId):
+            t = go(plan.child)
+            light = t.light.withColumn(plan.out, F.monotonically_increasing_id())
+            heavy = (
+                None
+                if t.heavy is None
+                else t.heavy.withColumn(
+                    plan.out,
+                    F.monotonically_increasing_id() + F.lit(_HEAVY_ID_OFFSET),
+                )
             )
-        else:
-            t = both(
-                t,
-                lambda d: d.select(
-                    *[to_spark(sx).alias(n) for n, sx in plan.cols]
-                ),
+            return replace(t, light=light, heavy=heavy)
+        if isinstance(plan, P.Unnest):
+            return both(go(plan.child), lambda d: _unnest(d, plan))
+        if isinstance(plan, P.WithEmptyArray):
+            return both(go(plan.child), lambda d: _with_empty_array(d, plan.col))
+        if isinstance(plan, P.Join):
+            if plan.how == "cross" or not plan.conds:
+                df = go(plan.left).union()
+                y = go(plan.right).union()
+                metrics.record("join:left", df)
+                metrics.record("join:right(cross)", y, kind="broadcast")
+                return SK.SkewTriple(df.crossJoin(y), None)
+            lkey, rkey = (_key(k) for k in plan.conds[0])
+            x = go(plan.left)
+            y = go(plan.right).union()
+            t = SK.skew_join(
+                x, y, lkey, rkey, _join_cond(plan), plan.how, metrics
             )
-        return replace(t, keys=keys)
-    if isinstance(plan, P.AddId):
-        t = execute_skew(plan.child, catalog, metrics)
-        light = t.light.withColumn(plan.out, F.monotonically_increasing_id())
-        heavy = (
-            None
-            if t.heavy is None
-            else t.heavy.withColumn(
-                plan.out,
-                F.monotonically_increasing_id() + F.lit(_HEAVY_ID_OFFSET),
-            )
-        )
-        return replace(t, light=light, heavy=heavy)
-    if isinstance(plan, P.Unnest):
-        t = execute_skew(plan.child, catalog, metrics)
-        return both(t, lambda d: _unnest(d, plan))
-    if isinstance(plan, P.WithEmptyArray):
-        t = execute_skew(plan.child, catalog, metrics)
-        return both(t, lambda d: _with_empty_array(d, plan.col))
-    if isinstance(plan, P.Join):
-        if plan.how == "cross" or not plan.conds:
-            df = execute_skew(plan.left, catalog, metrics).union()
-            y = execute_skew(plan.right, catalog, metrics).union()
-            metrics.record("join:left", df)
-            metrics.record("join:right(cross)", y, kind="broadcast")
-            return SK.SkewTriple(df.crossJoin(y), None)
-        lkey, rkey = (_key(k) for k in plan.conds[0])
-        lookup = _is_lookup(plan, catalog)
-        below = demand if lookup else frozenset()
-        if isinstance(lkey, str):
-            below |= {lkey}
-        x = execute_skew(plan.left, catalog, metrics, below)
-        y = execute_skew(plan.right, catalog, metrics).union()
-        t = SK.skew_join(x, y, lkey, rkey, _join_cond(plan), plan.how, metrics)
-        # A lookup keeps each left row's values: the left keys stay valid.
-        return replace(t, keys={**x.keys, **t.keys}) if lookup else t
-    if isinstance(plan, (P.NestBag, P.NestSum)):
-        # Γ merges components and follows the standard implementation;
-        # its grouping keys keep their heavy keys.
-        t = execute_skew(plan.child, catalog, metrics, demand & set(plan.keys))
-        df = t.union()
-        if isinstance(plan, P.NestBag):
-            metrics.record(f"nestbag:{plan.out}", df)
-            df = _nest_bag(df, plan)
-        else:
-            metrics.record(
-                f"nestsum:{','.join(n for n, _ in plan.values)}", df
-            )
-            df = _nest_sum(df, plan)
-        keys = {k: v for k, v in t.keys.items() if k in plan.keys}
-        return SK.SkewTriple(df, None, keys)
-    if isinstance(plan, P.Distinct):
-        t = execute_skew(plan.child, catalog, metrics, demand)
-        df = t.union()
-        metrics.record("distinct", df)
-        return SK.SkewTriple(df.distinct(), None, t.keys)
-    if isinstance(plan, P.Repartition):
-        # Skew-aware BagToDict: repartition light labels only.
-        (label,) = plan.cols
-        t = execute_skew(plan.child, catalog, metrics, demand | {label})
-        b = SK.skew_bag_to_dict(t.union(), label, t.keys.get(label))
-        metrics.record(f"repartition:{label}", b.light)
-        return replace(b, keys={**t.keys, **b.keys})
-    raise TypeError(f"unknown plan node {plan!r}")
+            # A lookup keeps each left row's values: the left keys stay valid.
+            if _is_lookup(plan, catalog):
+                return replace(t, keys={**x.keys, **t.keys})
+            return t
+        if isinstance(plan, (P.NestBag, P.NestSum)):
+            # Γ merges components and follows the standard implementation;
+            # its grouping keys keep their heavy keys.
+            t = go(plan.child)
+            df = t.union()
+            if isinstance(plan, P.NestBag):
+                metrics.record(f"nestbag:{plan.out}", df)
+                df = _nest_bag(df, plan)
+            else:
+                metrics.record(
+                    f"nestsum:{','.join(n for n, _ in plan.values)}", df
+                )
+                df = _nest_sum(df, plan)
+            keys = {k: v for k, v in t.keys.items() if k in plan.keys}
+            return SK.SkewTriple(df, None, keys)
+        if isinstance(plan, P.Distinct):
+            t = go(plan.child)
+            df = t.union()
+            metrics.record("distinct", df)
+            return SK.SkewTriple(df.distinct(), None, t.keys)
+        if isinstance(plan, P.Repartition):
+            # Skew-aware BagToDict: repartition light labels only.
+            (label,) = plan.cols
+            t = go(plan.child)
+            b = SK.skew_bag_to_dict(t.union(), label, t.keys.get(label))
+            metrics.record(f"repartition:{label}", b.light)
+            return replace(b, keys={**t.keys, **b.keys})
+        raise TypeError(f"unknown plan node {plan!r}")
+
+    return go(plan)
 
 
 def _col_name(sx: SExpr) -> Optional[str]:

@@ -172,3 +172,30 @@ def test_shredded_output_feeds_next_query(tpch):
     env["pipeA"] = I.evaluate(e1, env)
     expected = I.evaluate(e2, env)
     check(api.unshred_result(r2), expected, "pipelined shredded query")
+
+
+def test_level_refs_and_subst_reach_every_expression():
+    """A parent reference inside GetField, IsNotNull or MkStruct is
+    captured by the label, and substituted like any other."""
+    from repro.core.hierarchy import Gen, QLevel
+    from repro.core.sexpr import Col, GetField, IsNotNull, MkStruct, RawCol
+    from repro.core.shred_materialize import _Compiler
+
+    level = QLevel(
+        gens=[Gen("y", input_name="B")],
+        where=IsNotNull(Col("x", "n")),
+        fields=[
+            ("f", GetField(Col("x", "s"), "a")),
+            ("g", MkStruct((("v", Col("y", "v")), ("w", Col("x", "w"))))),
+        ],
+        child=None,
+    )
+    assert _Compiler._level_refs(level, {"x"}) == [
+        ("x", "n"), ("x", "s"), ("x", "w")
+    ]
+    mapping = {("x", "n"): RawCol("label")}
+    sub = _Compiler("q", {})._subst
+    assert sub(IsNotNull(Col("x", "n")), mapping) == IsNotNull(RawCol("label"))
+    assert sub(GetField(Col("x", "n"), "a"), mapping) == GetField(
+        RawCol("label"), "a"
+    )

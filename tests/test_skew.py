@@ -50,8 +50,8 @@ def test_zipf_generator_is_skewed(skcat):
 
 
 def test_heavy_keys_found_on_skewed_data(skcat):
-    hk = SK.heavy_keys(
-        skcat["cat"].get("Lineitem"), "l_orderkey", sample_fraction=0.5
+    (hk,) = SK.heavy_keys(
+        [(skcat["cat"].get("Lineitem"), "l_orderkey")], sample_fraction=0.5
     )
     assert 1 in hk  # Zipf rank-1 key must be detected
     assert len(hk) <= 40 * 64  # threshold bound per partition
@@ -59,7 +59,9 @@ def test_heavy_keys_found_on_skewed_data(skcat):
 
 def test_heavy_keys_empty_on_uniform_data(spark):
     cat = TQ.load_tpch(spark, sf=SKEW_SF, skew=0.0)
-    hk = SK.heavy_keys(cat.get("Lineitem"), "l_orderkey", sample_fraction=0.3)
+    (hk,) = SK.heavy_keys(
+        [(cat.get("Lineitem"), "l_orderkey")], sample_fraction=0.3
+    )
     # uniform keys: nothing should clear the 2.5 % per-partition bar
     assert len(hk) <= 5
 
@@ -82,7 +84,8 @@ def test_skew_join_matches_plain_join(skcat):
     part = skcat["cat"].get("Part")
     cond = li["l_partkey"] == part["p_partkey"]
     plain = li.join(part, cond, "inner").count()
-    t = SK.split(li, "l_partkey", SK.heavy_keys(li, "l_partkey", sample_fraction=0.5))
+    (hk,) = SK.heavy_keys([(li, "l_partkey")], sample_fraction=0.5)
+    t = SK.split(li, "l_partkey", hk)
     sk = SK.skew_join(t, part, "l_partkey", "p_partkey", cond, "inner")
     assert sk.union().count() == plain
     assert sk.keys["l_partkey"]  # heavy keys propagate through the join
@@ -171,7 +174,7 @@ def oracle_heavy_keys(df, key, fraction=SK.DEFAULT_SAMPLE_FRACTION):
 
 
 def _assert_matches_oracle(df, key, fraction=SK.DEFAULT_SAMPLE_FRACTION):
-    hk = SK.heavy_keys(df, key, sample_fraction=fraction)
+    (hk,) = SK.heavy_keys([(df, key)], sample_fraction=fraction)
     assert len(hk) == len(set(hk))  # de-duplicated across partitions
     assert set(hk) == oracle_heavy_keys(df, key, fraction)
     return hk
@@ -230,29 +233,99 @@ def test_heavy_keys_on_key_expression(spark):
 
 
 def test_heavy_keys_runs_two_stages(spark):
-    """One shuffle: the sample's map stage and the stage that counts."""
-    df = _ids(spark, 4000, 4).select((F.col("id") % 7).alias("k"))
-    group = "test-heavy-keys-stages"
-    assert _stages_with_tasks(spark, group, lambda: SK.heavy_keys(df, "k")) == 2
+    """One shuffle: the sample's map stage and the stage that counts,
+    for one request and for a batch of three."""
+    df = _ids(spark, 4000, 4).select(
+        (F.col("id") % 7).alias("k"), (F.col("id") % 11).alias("j")
+    )
+    other = _ids(spark, 3000, 3).select((F.col("id") % 5).alias("k"))
+    for n, batch in [(1, [(df, "k")]), (3, [(df, "k"), (df, "j"), (other, "k")])]:
+        group = f"test-heavy-keys-stages-{n}"
+        assert _stages_with_tasks(spark, group, lambda: SK.heavy_keys(batch)) == 2
 
 
-def _stages_with_tasks(spark, group, op) -> int:
-    """Stages that ran tasks for ``op``'s jobs.  Under AQE a job lists
-    the map stages it reuses again, as skipped stages; a full status
-    store drops skipped stages first, so their info may be gone."""
+def _jobs(spark, group, op) -> list[int]:
+    """Ids of the Spark jobs ``op`` starts, run under its own job group."""
     sc = spark.sparkContext
     sc.setJobGroup(group, group)
     try:
         op()
     finally:
         sc.setJobGroup("", "")
-    tracker = sc.statusTracker()
+    return list(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def _stages_with_tasks(spark, group, op) -> int:
+    """Stages that ran tasks for ``op``'s jobs.  Under AQE a job lists
+    the map stages it reuses again, as skipped stages; a full status
+    store drops skipped stages first, so their info may be gone."""
+    tracker = spark.sparkContext.statusTracker()
     infos = [
         tracker.getStageInfo(s)
-        for j in tracker.getJobIdsForGroup(group)
+        for j in _jobs(spark, group, op)
         for s in tracker.getJobInfo(j).stageIds
     ]
     return sum(1 for i in infos if i is not None and i.numCompletedTasks > 0)
+
+
+def _batch_frames(spark):
+    """Frames for the batched-sampler cases."""
+    two_keys = _ids(spark, 4000, 4).select(
+        (F.col("id") % 7).alias("k"), (F.col("id") % 30).alias("j")
+    )
+    other = _ids(spark, 3000, 3).select(
+        F.when(F.col("id") % 4 == 0, 3).otherwise(F.col("id") % 50).alias("k")
+    )
+    nulls = _ids(spark, 4000, 4).select(
+        F.when(F.col("id") % 2 == 0, None).otherwise(F.col("id") % 7).alias("k")
+    )
+    # the last partition's only key holds all of it, but its sample is
+    # below MIN_SAMPLE_PER_PARTITION
+    small = _ids(spark, 4000, 2).select((F.col("id") % 20).alias("k")).union(
+        _ids(spark, 50, 1).select(F.lit(999).cast("long").alias("k"))
+    )
+    struct = _ids(spark, 4000, 4).select(
+        F.struct(
+            (F.col("id") % 3).alias("a"),
+            F.when(F.col("id") % 5 == 0, None)
+            .otherwise(F.concat(F.lit("s"), (F.col("id") % 2).cast("string")))
+            .alias("b"),
+        ).alias("lbl"),
+    )
+    return {
+        "two_frames": [(two_keys, "k"), (other, "k")],
+        "one_frame_two_keys": [(two_keys, "k"), (two_keys, "j")],
+        "null_keys": [(nulls, "k"), (other, "k")],
+        "struct_key": [(struct, "lbl"), (two_keys, "k")],
+        "small_partition": [(two_keys, "j"), (small, "k")],
+    }
+
+
+BATCHES = [
+    "two_frames", "one_frame_two_keys", "null_keys", "struct_key",
+    "small_partition",
+]
+
+
+@pytest.mark.parametrize("case", BATCHES)
+def test_heavy_keys_batch_equals_one_request_results(spark, case):
+    requests = _batch_frames(spark)[case]
+    batch = SK.heavy_keys(requests)
+    assert len(batch) == len(requests)
+    for (df, key), hk in zip(requests, batch):
+        (alone,) = SK.heavy_keys([(df, key)])
+        assert len(hk) == len(set(hk))
+        assert set(hk) == set(alone) == oracle_heavy_keys(df, key)
+        assert hk and None not in hk
+    if case == "small_partition":
+        assert 999 not in batch[1]
+    if case == "struct_key":
+        (df, key), hk = requests[0], batch[0]
+        assert all(isinstance(k, Row) for k in hk)
+        t = SK.split(df, key, hk)
+        assert t.light.count() + t.heavy.count() == df.count()
+        heavy = {r[key] for r in t.heavy.select(key).distinct().collect()}
+        assert heavy == set(hk)
 
 
 def test_skew_join_resamples_for_another_key(skcat):
@@ -262,7 +335,8 @@ def test_skew_join_resamples_for_another_key(skcat):
     t = SK.split(li, "l_orderkey", [1])
     cond = li["l_partkey"] == part["p_partkey"]
     sk = SK.skew_join(t, part, "l_partkey", "p_partkey", cond, "inner")
-    assert sk.keys == {"l_partkey": SK.heavy_keys(t.union(), "l_partkey")}
+    (hk,) = SK.heavy_keys([(t.union(), "l_partkey")])
+    assert sk.keys == {"l_partkey": hk}
     assert sk.union().count() == li.join(part, cond, "inner").count()
 
 
@@ -345,16 +419,17 @@ def test_skew_bag_to_dict_is_exact_for_any_key_set(xy, forced):
 
 
 def _record_samples(monkeypatch):
-    """Record every ``SK.heavy_keys`` call: (frame, key, heavy keys)."""
-    calls, real = [], SK.heavy_keys
+    """Record every ``SK.heavy_keys`` batch as its requests:
+    [(frame, key, heavy keys), ...] per call."""
+    batches, real = [], SK.heavy_keys
 
-    def recording(df, key, *args, **kwargs):
-        keys = real(df, key, *args, **kwargs)
-        calls.append((df, key, keys))
+    def recording(requests, *args, **kwargs):
+        keys = real(requests, *args, **kwargs)
+        batches.append([(df, key, hk) for (df, key), hk in zip(requests, keys)])
         return keys
 
     monkeypatch.setattr(SK, "heavy_keys", recording)
-    return calls, real
+    return batches, real
 
 
 def _plan_nodes(df) -> list[str]:
@@ -378,33 +453,41 @@ def _n2n_types():
     return {**TQ.BASE_TYPES, name: TQ.flat_to_nested_type(2, False)}
 
 
-def test_shred_skew_samples_cached_sources(skcat, monkeypatch):
+def test_shred_skew_samples_cached_sources(spark, skcat, monkeypatch):
     cat = skcat["cat"]
     e = TQ.nested_to_nested(2, False)
-    calls, real = _record_samples(monkeypatch)
+    batches, real = _record_samples(monkeypatch)
     run = api.shredded_route(e, _n2n_types(), "sk_src", cat, skew=True)
-    # BagToDict of corders; the join of oparts with Part and the
-    # BagToDict after Γ, both traced to the oparts dictionary
-    assert len(calls) == 3
-    assert not any(_computes(df) for df, _, _ in calls)
+    # one batch: the BagToDict of corders; the join of oparts with Part
+    # and the BagToDict after Γ, both traced to the oparts dictionary
+    (batch,) = batches
+    corders = f"{skcat['input']}__dict__corders"
+    source = cat.get(f"{corders}__oparts")
+    assert [(df, key) for df, key, _ in batch] == [
+        (cat.get(corders), "label"), (source, "label"), (source, "pid")
+    ]
+    assert not any(_computes(df) for df, _, _ in batch)
+    requests = [(df, key) for df, key, _ in batch]
+    group = "shred-skew-sampling-job"
+    assert _stages_with_tasks(spark, group, lambda: real(requests)) == 2
     check(api.unshred_result(run), I.evaluate(e, skcat["env"]), "shred_skew")
 
-    source = cat.get(f"{skcat['input']}__dict__corders__oparts")
     name, plan = run.compiled.assignments[-1]
     assert name == "sk_src__dict__corders__oparts"
     join = next(p for p in P.walk(plan) if isinstance(p, P.Join))
-    assert DS.execute_skew(plan, cat).keys["label"] == real(source, "label")
-    assert DS.execute_skew(join, cat).keys["x2__pid"] == real(source, "pid")
+    (label, pid) = real([(source, "label"), (source, "pid")])
+    assert set(DS.execute_skew(plan, cat).keys["label"]) == set(label)
+    assert set(DS.execute_skew(join, cat).keys["x2__pid"]) == set(pid)
 
 
 def test_standard_skew_samples_after_unnest(skcat, monkeypatch):
     """The join key comes out of an Unnest: sampled at the join."""
-    calls, _ = _record_samples(monkeypatch)
+    batches, _ = _record_samples(monkeypatch)
     df = api.standard_route(
         TQ.nested_to_nested(2, False), _n2n_types(), skcat["cat"],
         opt="full", skew=True,
     )
-    ((sampled, key, _),) = calls
+    (((sampled, key, _),),) = batches
     assert key == "x2__pid"
     assert "Generate" in _plan_nodes(sampled)
     _noop(df)
@@ -418,7 +501,7 @@ def _join(left, right, lkey, rkey):
     "plan, sampled",
     [
         # Lineitem ⋈ Part is a lookup (p_partkey is unique): both keys
-        # are sampled where Lineitem is scanned
+        # are sampled where Lineitem is scanned, in one batch
         (
             _join(
                 _join(
@@ -428,7 +511,7 @@ def _join(left, right, lkey, rkey):
                 P.Scan("Orders", "o"),
                 Col("l", "l_orderkey"), Col("o", "o_orderkey"),
             ),
-            [("l_orderkey", False), ("l_partkey", False)],
+            [[("l_orderkey", False), ("l_partkey", False)]],
         ),
         # Orders ⋈ Lineitem is 1:N: a key from its left side is sampled
         # at the join above it
@@ -441,17 +524,32 @@ def _join(left, right, lkey, rkey):
                 P.Scan("Customer", "c"),
                 Col("o", "o_custkey"), Col("c", "c_custkey"),
             ),
-            [("o_orderkey", False), ("o__o_custkey", True)],
+            [[("o_orderkey", False)], [("o__o_custkey", True)]],
         ),
     ],
     ids=["after_lookup", "after_1_to_n"],
 )
-def test_keys_traced_through_lookups_only(skcat, monkeypatch, plan, sampled):
-    calls, _ = _record_samples(monkeypatch)
-    t = DS.execute_skew(plan, skcat["cat"])
-    assert [(key, _computes(df)) for df, key, _ in calls] == sampled
+def test_keys_traced_through_lookups_only(
+    spark, skcat, monkeypatch, request, plan, sampled
+):
+    cat = skcat["cat"]
+    demands = []
+    # the planning pass starts no Spark job ...
+    plan_pass = lambda: demands.extend(DS.source_demands(plan, cat))
+    assert _jobs(spark, request.node.name, plan_pass) == []
+    batches, _ = _record_samples(monkeypatch)
+    t = DS.execute_skew(plan, cat)
+    assert [
+        [(key, _computes(df)) for df, key, _ in b] for b in batches
+    ] == sampled
+    # ... and names exactly what is sampled at the scanned tables
+    table = {id(df): name for name, df in cat.tables.items()}
+    assert [
+        (table[id(df)], key) for b in batches for df, key, _ in b
+        if id(df) in table
+    ] == demands
     cols = t.light.columns[:4]
-    want = DS.execute(plan, skcat["cat"]).select(*cols)
+    want = DS.execute(plan, cat).select(*cols)
     assert _bag(t.union().select(*cols)) == _bag(want)
 
 
@@ -462,8 +560,9 @@ def test_keys_traced_through_lookups_only(skcat, monkeypatch, plan, sampled):
 # Stages that ran tasks for one operation at SF 0.002, z = 3, seed 11:
 # the route plus a noop write of every output.  A change that adds a
 # Spark job or an exchange to a skew-aware route moves these.  Sampling
-# at the cached sources took shred_skew from 24 to 20.
-SHRED_SKEW_STAGES = 20
+# at the cached sources took shred_skew from 24 to 20, and taking those
+# samples in one batch from 20 to 16.
+SHRED_SKEW_STAGES = 16
 STANDARD_SKEW_STAGES = 9
 
 
