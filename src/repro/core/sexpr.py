@@ -5,7 +5,7 @@ A scalar expression (``SExpr``) references bound variables' attributes
 ``RelOp`` / ``BoolOp`` operators plus a scalar conditional.  It compiles
 to three targets:
 
-* a PySpark ``Column`` (Dataset backend; see :func:`to_spark`),
+* a Spark SQL expression string (Dataset backend; see :func:`to_sql`),
 * a Python callable over ``{colname: value}`` rows (RDD backend),
 * a Python callable over ``{var: {attr: value}}`` environments
   (NRC interpreter).
@@ -16,12 +16,10 @@ after joins/unnests.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable
-
-from pyspark.sql import Column
-from pyspark.sql import functions as F
+from typing import Any, Callable, Optional
 
 
 def cname(var: str, attr: str) -> str:
@@ -123,33 +121,61 @@ _PY_OPS: dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
-def to_spark(e: SExpr) -> Column:
-    """Compile an SExpr to a PySpark Column over ``var__attr`` columns."""
+def quote(name: str) -> str:
+    """A column or field name as a Spark SQL identifier."""
+    return "`" + name.replace("`", "``") + "`"
+
+
+def _lit_sql(v: Any) -> str:
+    """A Python scalar as a Spark SQL literal of the type ``F.lit(v)``
+    gives it: an int is an INT when it fits 32 bits, else a BIGINT; a
+    float is a DOUBLE (a bare ``1.5`` would be a DECIMAL)."""
+    if v is None:
+        return "NULL"
+    if isinstance(v, bool):
+        return "TRUE" if v else "FALSE"
+    if isinstance(v, int):
+        return str(v) if -(2**31) <= v < 2**31 else f"{v}L"
+    if isinstance(v, float):
+        return f"{v!r}D" if math.isfinite(v) else f"CAST('{v}' AS DOUBLE)"
+    if isinstance(v, str):
+        return "'" + v.replace("\\", "\\\\").replace("'", "\\'") + "'"
+    raise TypeError(f"no SQL literal for {v!r}")
+
+
+_SQL_OPS = {"==": "=", "&&": "AND", "||": "OR"}
+
+
+def to_sql(e: SExpr) -> str:
+    """Render an SExpr as one Spark SQL expression over ``var__attr``
+    columns, so the Dataset backend parses it in one call.  Every
+    compound form is parenthesised or a function call, so it nests
+    anywhere, a field access included.  Each form parses to the
+    expression the Column API builds for it (``struct(x AS n)`` is the
+    named struct ``F.struct`` makes)."""
     if isinstance(e, Col):
-        return F.col(e.colname)
+        return quote(e.colname)
     if isinstance(e, RawCol):
-        return F.col(e.name)
+        return quote(e.name)
     if isinstance(e, Lit):
-        return F.lit(e.value)
+        return _lit_sql(e.value)
     if isinstance(e, BinOp):
-        l, r = to_spark(e.left), to_spark(e.right)
-        return {
-            "+": l + r, "-": l - r, "*": l * r, "/": l / r,
-            "==": l == r, "!=": l != r, "<": l < r, "<=": l <= r,
-            ">": l > r, ">=": l >= r, "&&": l & r, "||": l | r,
-        }[e.op]
+        op = _SQL_OPS.get(e.op, e.op)
+        return f"({to_sql(e.left)} {op} {to_sql(e.right)})"
     if isinstance(e, Not):
-        return ~to_spark(e.expr)
+        return f"(NOT {to_sql(e.expr)})"
     if isinstance(e, IfScalar):
-        return F.when(to_spark(e.cond), to_spark(e.then_)).otherwise(
-            to_spark(e.else_)
+        return (
+            f"CASE WHEN {to_sql(e.cond)} THEN {to_sql(e.then_)} "
+            f"ELSE {to_sql(e.else_)} END"
         )
     if isinstance(e, MkStruct):
-        return F.struct(*[to_spark(x).alias(n) for n, x in e.items])
+        items = (f"{to_sql(x)} AS {quote(n)}" for n, x in e.items)
+        return f"struct({', '.join(items)})"
     if isinstance(e, GetField):
-        return to_spark(e.expr).getField(e.name)
+        return f"{to_sql(e.expr)}.{quote(e.name)}"
     if isinstance(e, IsNotNull):
-        return to_spark(e.expr).isNotNull()
+        return f"({to_sql(e.expr)} IS NOT NULL)"
     raise TypeError(f"unknown SExpr {e!r}")
 
 
@@ -212,10 +238,18 @@ def children(e: SExpr) -> list[SExpr]:
     return out
 
 
+def col_name(e: SExpr) -> Optional[str]:
+    """The column an expression merely reads, if it is a plain column."""
+    if isinstance(e, Col):
+        return e.colname
+    if isinstance(e, RawCol):
+        return e.name
+    return None
+
+
 def columns_of(e: SExpr) -> set[str]:
     """The set of flat column names referenced by ``e``."""
-    if isinstance(e, Col):
-        return {e.colname}
-    if isinstance(e, RawCol):
-        return {e.name}
+    name = col_name(e)
+    if name is not None:
+        return {name}
     return set().union(*map(columns_of, children(e)))

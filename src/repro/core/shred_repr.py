@@ -135,7 +135,8 @@ def unshred(
         joined = parent.join(
             grouped, parent[attr] == grouped["label"], "left_outer"
         )
-        dt = grouped.schema["__bag"].dataType.simpleString()
+        # The type's SQL form quotes field names; simpleString would not.
+        dt = grouped._jdf.schema().apply("__bag").dataType().sql()
         rebuilt = joined.select(
             *[
                 F.coalesce(F.col("__bag"), F.expr(f"cast(array() as {dt})"))

@@ -29,26 +29,27 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional, Union
 
-from pyspark.sql import Column, DataFrame, Row, Window
+from pyspark.sql import DataFrame, Row, Window
 from pyspark.sql import functions as F
 
 from .metrics import NO_METRICS, MetricsCollector
+from .sexpr import Lit, MkStruct, SExpr, quote, to_sql
 
 DEFAULT_THRESHOLD = 0.025
 DEFAULT_SAMPLE_FRACTION = 0.1
 MIN_SAMPLE_PER_PARTITION = 20
 
-Key = Union[str, Column]  # a column name or an expression over columns
+Key = Union[str, SExpr]  # a column name or an expression over columns
 
 
-def _col(key: Key) -> Column:
-    return F.col(key) if isinstance(key, str) else key
+def _sql(key: Key) -> str:
+    return quote(key) if isinstance(key, str) else to_sql(key)
 
 
 def key_id(key: Key) -> str:
     """Where a triple carries a key's heavy keys: a column's name, or
-    an expression's string form."""
-    return key if isinstance(key, str) else str(key)
+    an expression's SQL form."""
+    return key if isinstance(key, str) else to_sql(key)
 
 
 @dataclass
@@ -67,11 +68,11 @@ class SkewTriple:
         return self.light.unionByName(self.heavy)
 
 
-def _literal(v) -> Column:
+def _literal(v) -> SExpr:
     """Literal of a key value; struct-valued keys come back as ``Row``s."""
     if isinstance(v, Row):
-        return F.struct(*[_literal(x).alias(n) for n, x in zip(v.__fields__, v)])
-    return F.lit(v)
+        return MkStruct(tuple((n, _literal(x)) for n, x in zip(v.__fields__, v)))
+    return Lit(v)
 
 
 def heavy_keys(
@@ -92,21 +93,20 @@ def heavy_keys(
     per-key counts and the per-partition totals.  The keys (at most 40
     per partition) are de-duplicated on the driver.
     """
-    by_type: dict[str, list[tuple[int, DataFrame, Column]]] = {}
+    by_type: dict[str, list[tuple[int, DataFrame, str]]] = {}
     for i, (df, key) in enumerate(requests):
-        k = _col(key)
-        by_type.setdefault(
-            df.select(k).schema[0].dataType.simpleString(), []
-        ).append((i, df, k))
+        # A named key's type is in the frame's (cached) schema.
+        k = _sql(key)
+        f = df.schema[key] if isinstance(key, str) else df.selectExpr(k).schema[0]
+        by_type.setdefault(f.dataType.simpleString(), []).append((i, df, k))
     found: list[list] = [[] for _ in requests]
     for batch in by_type.values():
         n = len(batch)
         sample = reduce(
             DataFrame.union,
             [
-                df.select(
-                    (F.spark_partition_id() * n + j).alias("__pid"),
-                    k.alias("__k"),
+                df.selectExpr(
+                    f"spark_partition_id() * {n} + {j} AS __pid", f"{k} AS __k"
                 ).sample(fraction=sample_fraction, seed=7)
                 for j, (_, df, k) in enumerate(batch)
             ],
@@ -141,10 +141,12 @@ def split(df: DataFrame, key: Key, keys: list) -> SkewTriple:
     keys = [v for v in keys if v is not None]
     if not keys:
         return SkewTriple(df, None, {key_id(key): keys})
-    k = _col(key)
-    heavy = k.isin([_literal(v) for v in keys])
+    k = _sql(key)
+    heavy = f"({k} IN ({', '.join(to_sql(_literal(v)) for v in keys)}))"
     return SkewTriple(
-        df.where(~heavy | k.isNull()), df.where(heavy), {key_id(key): keys}
+        df.where(f"((NOT {heavy}) OR ({k} IS NULL))"),
+        df.where(heavy),
+        {key_id(key): keys},
     )
 
 
@@ -195,4 +197,4 @@ def skew_bag_to_dict(
     if keys is None:
         (keys,) = heavy_keys([(df, label_col)])
     t = split(df, label_col, keys)
-    return SkewTriple(t.light.repartition(label_col), t.heavy, t.keys)
+    return SkewTriple(t.light.repartition(quote(label_col)), t.heavy, t.keys)

@@ -3,7 +3,12 @@
 This is the code-generation stage of §3.2 (Fig. 10), realised as a
 plan interpreter over the DataFrame API so every operator stays
 visible to Catalyst (the paper's stated reason for choosing Datasets
-over RDDs — operator metadata reaches the Spark optimizer).
+over RDDs — operator metadata reaches the Spark optimizer).  Each
+py4j call costs a round trip to the JVM, so the interpreter builds a
+plan with few of them: :func:`run` first merges each run of
+projections and selections
+(:func:`~repro.core.optimize.merge_projections`), and every expression
+goes to Spark as one SQL string (:func:`~repro.core.sexpr.to_sql`).
 
 Two execution modes:
 
@@ -21,6 +26,7 @@ Both modes optionally account simulated shuffle via a
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import reduce
 from typing import Optional
 
 from pyspark.sql import Column, DataFrame
@@ -29,7 +35,18 @@ from pyspark.sql import functions as F
 from ..core import plan_ops as P
 from ..core import skew as SK
 from ..core.metrics import NO_METRICS, MetricsCollector
-from ..core.sexpr import Col, RawCol, SExpr, cname, to_spark
+from ..core.optimize import merge_projections
+from ..core.sexpr import (
+    BinOp,
+    IsNotNull,
+    MkStruct,
+    RawCol,
+    SExpr,
+    cname,
+    col_name,
+    quote,
+    to_sql,
+)
 from .catalog import Catalog
 
 _HEAVY_ID_OFFSET = 1 << 61
@@ -45,6 +62,7 @@ def run(
     """Execute a plan; in skew mode, returns the merged components
     (``source_keys``: heavy keys already sampled, see
     :func:`execute_skew`)."""
+    plan = merge_projections(plan)
     if skew:
         return execute_skew(plan, catalog, metrics, source_keys).union()
     return execute(plan, catalog, metrics)
@@ -60,21 +78,14 @@ def execute(
 ) -> DataFrame:
     if isinstance(plan, P.Scan):
         df = catalog.get(plan.table)
-        return df.select(
-            *[F.col(c).alias(f"{plan.var}__{c}") for c in df.columns]
-        )
+        return df.toDF(*[cname(plan.var, c) for c in df.columns])
     if isinstance(plan, P.ScanRaw):
         return catalog.get(plan.table)
     if isinstance(plan, P.Select):
-        return execute(plan.child, catalog, metrics).filter(
-            to_spark(plan.pred)
-        )
-    if isinstance(plan, P.Project):
+        return execute(plan.child, catalog, metrics).filter(to_sql(plan.pred))
+    if isinstance(plan, (P.Project, P.Extend)):
         df = execute(plan.child, catalog, metrics)
-        return df.select(*[to_spark(sx).alias(n) for n, sx in plan.cols])
-    if isinstance(plan, P.Extend):
-        df = execute(plan.child, catalog, metrics)
-        return df.withColumns({n: to_spark(sx) for n, sx in plan.cols})
+        return _project(df, _exprs(plan.cols), isinstance(plan, P.Extend))
     if isinstance(plan, P.AddId):
         df = execute(plan.child, catalog, metrics)
         return df.withColumn(plan.out, F.monotonically_increasing_id())
@@ -101,16 +112,33 @@ def execute(
     if isinstance(plan, P.Repartition):
         df = execute(plan.child, catalog, metrics)
         metrics.record(f"repartition:{','.join(plan.cols)}", df)
-        return df.repartition(*[F.col(c) for c in plan.cols])
+        return df.repartition(*map(quote, plan.cols))
     raise TypeError(f"unknown plan node {plan!r}")
 
 
+def _exprs(cols: tuple[tuple[str, SExpr], ...]) -> dict[str, str]:
+    """Each output column of a projection as one SQL select item."""
+    return {n: f"{to_sql(sx)} AS {quote(n)}" for n, sx in cols}
+
+
+def _project(df: DataFrame, exprs: dict[str, str], extend: bool) -> DataFrame:
+    """One ``selectExpr`` computing ``exprs``; with ``extend``, also
+    keeping ``df``'s other columns, a replaced one in its place (as
+    ``withColumns`` does)."""
+    if not extend:
+        return df.selectExpr(*exprs.values())
+    have = df.columns
+    if exprs.keys().isdisjoint(have):
+        return df.selectExpr("*", *exprs.values())
+    keep = {c: quote(c) for c in have}
+    return df.selectExpr(*{**keep, **exprs}.values())
+
+
 def _join_cond(plan: P.Join) -> Optional[Column]:
-    cond: Optional[Column] = None
-    for l, r in plan.conds:
-        c = to_spark(l) == to_spark(r)
-        cond = c if cond is None else (cond & c)
-    return cond
+    if not plan.conds:
+        return None
+    eqs = [BinOp("==", l, r) for l, r in plan.conds]
+    return F.expr(to_sql(reduce(lambda a, b: BinOp("&&", a, b), eqs)))
 
 
 def _join(
@@ -130,40 +158,37 @@ def _join(
 
 
 def _unnest(df: DataFrame, plan: P.Unnest) -> DataFrame:
-    keep = [c for c in df.columns if c != plan.src_col]
-    gen = (
-        F.explode_outer(F.col(plan.src_col))
-        if plan.outer
-        else F.explode(F.col(plan.src_col))
+    keep = [quote(c) for c in df.columns if c != plan.src_col]
+    gen = "explode_outer" if plan.outer else "explode"
+    df = df.selectExpr(*keep, f"{gen}({quote(plan.src_col)}) AS `__elem`")
+    return df.selectExpr(
+        *keep,
+        *[
+            f"`__elem`.{quote(f)} AS {quote(cname(plan.var, f))}"
+            for f, _ in plan.elem_fields
+        ],
     )
-    df = df.select(*keep, gen.alias("__elem"))
-    elem_cols = [
-        F.col(f"__elem.{f}").alias(f"{plan.var}__{f}")
-        for f, _ in plan.elem_fields
-    ]
-    return df.select(*keep, *elem_cols)
 
 
 def _nest_bag(df: DataFrame, plan: P.NestBag) -> DataFrame:
-    struct = F.when(
-        F.col(plan.marker).isNotNull(),
-        F.struct(*[F.col(c).alias(n) for n, c in plan.struct_fields]),
+    struct = MkStruct(tuple((n, RawCol(c)) for n, c in plan.struct_fields))
+    bag = (
+        f"collect_list(CASE WHEN {to_sql(IsNotNull(RawCol(plan.marker)))} "
+        f"THEN {to_sql(struct)} END) AS {quote(plan.out)}"
     )
-    return df.groupBy(*plan.keys).agg(
-        F.collect_list(struct).alias(plan.out)
-    )
+    return df.groupBy(*map(quote, plan.keys)).agg(F.expr(bag))
 
 
 def _nest_sum(df: DataFrame, plan: P.NestSum) -> DataFrame:
-    aggs = [F.sum(to_spark(sx)).alias(n) for n, sx in plan.values]
-    return df.groupBy(*plan.keys).agg(*aggs)
+    aggs = [F.expr(f"sum({to_sql(sx)}) AS {quote(n)}") for n, sx in plan.values]
+    return df.groupBy(*map(quote, plan.keys)).agg(*aggs)
 
 
 def _with_empty_array(df: DataFrame, col: str) -> DataFrame:
-    dt = df.schema[col].dataType.simpleString()
-    return df.withColumn(
-        col, F.coalesce(F.col(col), F.expr(f"cast(array() as {dt})"))
-    )
+    # The type's SQL form quotes field names; simpleString would not.
+    dt = df._jdf.schema().apply(col).dataType().sql()
+    c = quote(col)
+    return _project(df, {col: f"coalesce({c}, CAST(array() AS {dt})) AS {c}"}, True)
 
 
 # --------------------------------------------------------------------------
@@ -219,14 +244,14 @@ def _scan_demands(plan: P.Plan, catalog: Catalog, demand=frozenset()):
         # A renamed column keeps its heavy keys, a computed one has none;
         # Extend also keeps its child's other columns.
         extend = isinstance(plan, P.Extend)
-        src = {n: _col_name(sx) for n, sx in plan.cols}
+        src = {n: col_name(sx) for n, sx in plan.cols}
         below = frozenset({src.get(n, n) for n in demand if n in src or extend})
     elif isinstance(plan, P.Join):
         below = frozenset()
         if plan.how != "cross" and plan.conds:
             if _is_lookup(plan, catalog):
                 below = demand
-            below |= {_col_name(plan.conds[0][0])}
+            below |= {col_name(plan.conds[0][0])}
         yield from _scan_demands(plan.left, catalog, below - {None})
         yield from _scan_demands(plan.right, catalog)
         return
@@ -281,29 +306,18 @@ def execute_skew(
             df = execute(plan, catalog, metrics)
             return SK.SkewTriple(df, None, dict(at.get(plan, {})))
         if isinstance(plan, P.Select):
-            return both(go(plan.child), lambda d: d.filter(to_spark(plan.pred)))
+            pred = to_sql(plan.pred)
+            return both(go(plan.child), lambda d: d.filter(pred))
         if isinstance(plan, (P.Project, P.Extend)):
             # A renamed column keeps its heavy keys, a computed one has
             # none; Extend also keeps its child's other columns.
             extend = isinstance(plan, P.Extend)
-            src = {n: _col_name(sx) for n, sx in plan.cols}
+            src = {n: col_name(sx) for n, sx in plan.cols}
             t = go(plan.child)
             keys = {k: v for k, v in t.keys.items() if extend and k not in src}
             keys.update({n: t.keys[c] for n, c in src.items() if c in t.keys})
-            if extend:
-                t = both(
-                    t,
-                    lambda d: d.withColumns(
-                        {n: to_spark(sx) for n, sx in plan.cols}
-                    ),
-                )
-            else:
-                t = both(
-                    t,
-                    lambda d: d.select(
-                        *[to_spark(sx).alias(n) for n, sx in plan.cols]
-                    ),
-                )
+            exprs = _exprs(plan.cols)
+            t = both(t, lambda d: _project(d, exprs, extend))
             return replace(t, keys=keys)
         if isinstance(plan, P.AddId):
             t = go(plan.child)
@@ -370,19 +384,10 @@ def execute_skew(
     return go(plan)
 
 
-def _col_name(sx: SExpr) -> Optional[str]:
-    """The column an expression merely reads, if it is a plain column."""
-    if isinstance(sx, Col):
-        return sx.colname
-    if isinstance(sx, RawCol):
-        return sx.name
-    return None
-
-
-def _key(sx: SExpr):
+def _key(sx: SExpr) -> SK.Key:
     """A join key for ``skew_join``: a column name, or an expression."""
-    name = _col_name(sx)
-    return to_spark(sx) if name is None else name
+    name = col_name(sx)
+    return sx if name is None else name
 
 
 def _is_lookup(plan: P.Join, catalog: Catalog) -> bool:
@@ -395,4 +400,4 @@ def _is_lookup(plan: P.Join, catalog: Catalog) -> bool:
         unique = catalog.unique_keys.get(r.table, set())
     else:
         return False
-    return any(_col_name(k) in unique for _, k in plan.conds)
+    return any(col_name(k) in unique for _, k in plan.conds)

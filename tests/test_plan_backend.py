@@ -1,13 +1,21 @@
 """Plan operators: Dataset backend vs RDD backend vs expected values."""
-import pytest
+import gc
+import threading
 
+import pytest
+from py4j.clientserver import ClientServerConnection
+
+from repro.bench import tpch_queries as TQ
 from repro.core import plan_ops as P
 from repro.core import nrc_interp as I
+from repro.core.hierarchy import to_hierarchy
 from repro.core.sexpr import BinOp, Col, Lit, RawCol
+from repro.core.unnest import compile_standard
 from repro.spark_backend import dataset as DS
 from repro.spark_backend import rdd_backend as RB
 from repro.spark_backend.catalog import Catalog
 
+from tests.conftest import ensure_nested_input
 from tests.utils import rows_of
 
 
@@ -234,3 +242,63 @@ def test_unknown_plan_node_raises(cat):
         DS.execute(Bogus(), cat)
     with pytest.raises(TypeError):
         RB.execute(Bogus(), cat)
+
+
+# --------------------------------------------------------------------------
+# py4j round trips per plan build
+# --------------------------------------------------------------------------
+
+# Upper bounds on the py4j calls of one warm ``DS.run`` of the
+# benchmark's standard-route plans (level 2, SF 0.002; the skew run
+# includes its sampling job).  They take 183, 243 and 431 calls, about
+# a tenth to a fifth of what building Columns node by node took.  A
+# change that moves a bound says why in CHANGES.md.
+BUILD_CALLS = {"f2n_wide": 200, "n2n_narrow": 270, "n2n_narrow_skew": 480}
+
+
+def _bench_plan(tpch, query):
+    cat = tpch["cat"]
+    if query == "f2n_wide":
+        e, types = TQ.flat_to_nested(2, True), TQ.BASE_TYPES
+    else:
+        name = ensure_nested_input(tpch, 2, False)
+        e = TQ.nested_to_nested(2, False)
+        types = {**TQ.BASE_TYPES, name: TQ.flat_to_nested_type(2, False)}
+    c = compile_standard(
+        to_hierarchy(e, types),
+        opt="full",
+        push_agg=query == "n2n_narrow",
+        unique_keys=cat.unique_keys,
+    )
+    return c.plan, query.endswith("skew")
+
+
+def _py4j_calls(monkeypatch, f) -> int:
+    """The py4j round trips ``f()`` makes from this thread.  py4j's
+    finalizer thread releases Java objects on its own schedule, so its
+    calls are not counted, and no garbage collection runs meanwhile."""
+    calls = [0]
+    send = ClientServerConnection.send_command
+    me = threading.get_ident()
+
+    def counting(self, command):
+        calls[0] += threading.get_ident() == me
+        return send(self, command)
+
+    gc.collect()
+    gc.disable()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(ClientServerConnection, "send_command", counting)
+            f()
+    finally:
+        gc.enable()
+    return calls[0]
+
+
+@pytest.mark.parametrize("query", list(BUILD_CALLS))
+def test_build_py4j_budget(tpch, monkeypatch, query):
+    plan, skew = _bench_plan(tpch, query)
+    run = lambda: DS.run(plan, tpch["cat"], skew=skew)  # noqa: E731
+    run()  # warm: the inputs' schemas are read once
+    assert _py4j_calls(monkeypatch, run) <= BUILD_CALLS[query]

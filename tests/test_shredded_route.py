@@ -11,11 +11,13 @@ import pytest
 
 from repro.bench import tpch_queries as TQ
 from repro.core import api
+from repro.core import nrc as N
 from repro.core import nrc_interp as I
 from repro.core import plan_ops as P
 from repro.core.hierarchy import to_hierarchy
 from repro.core.shred_materialize import compile_shredded
 from repro.spark_backend import dataset as DS
+from repro.spark_backend.catalog import Catalog
 
 from tests.conftest import ensure_nested_input
 from tests.utils import check, rows_of
@@ -199,3 +201,73 @@ def test_level_refs_and_subst_reach_every_expression():
     assert sub(GetField(Col("x", "n"), "a"), mapping) == GetField(
         RawCol("label"), "a"
     )
+
+
+# ---------------------------------------------------------------------------
+# Names and constants that need quoting in Spark SQL
+# ---------------------------------------------------------------------------
+
+ODD_TYPES = {
+    "Ord": N.BagT(
+        N.tuple_t(**{"order": N.INT, "unit price": N.REAL, "o.note": N.STRING})
+    ),
+    "Item": N.BagT(N.tuple_t(**{"order": N.INT, "select": N.STRING})),
+}
+ODD_ROWS = {
+    "Ord": [(1, 2.0, "a'b"), (2, 3.5, "it's \\ odd"), (3, 1.0, "c\\d")],
+    "Item": [(1, "it's"), (1, "p q"), (2, "r"), (4, "s")],
+}
+_DDL = {N.INT: "long", N.REAL: "double", N.STRING: "string"}
+
+
+def _odd_query() -> N.Expr:
+    o, i = N.Var("o"), N.Var("i")
+    items = N.ForUnion(
+        "i",
+        N.Var("Item"),
+        N.IfThen(
+            N.eq(N.Proj(i, "order"), N.Proj(o, "order")),
+            N.Singleton(
+                N.tup(
+                    **{
+                        "select": N.Proj(i, "select"),
+                        "unit price": N.PrimOp(
+                            "*", N.Proj(o, "unit price"), N.const(1.5)
+                        ),
+                    }
+                )
+            ),
+        ),
+    )
+    return N.ForUnion(
+        "o",
+        N.Var("Ord"),
+        N.IfThen(
+            N.PrimOp("!=", N.Proj(o, "o.note"), N.const("it's \\ odd")),
+            N.Singleton(
+                N.tup(
+                    **{"order": N.Proj(o, "order"), "items": items}
+                )
+            ),
+        ),
+    )
+
+
+def test_routes_quote_names_and_constants(spark):
+    """Keyword, spaced and dotted attribute names and a constant with a
+    quote and a backslash reach Spark as SQL and still match the
+    reference interpreter on both routes."""
+    cat = Catalog()
+    env = {}
+    for name, rows in ODD_ROWS.items():
+        fields = ODD_TYPES[name].elem.fields
+        ddl = ", ".join(f"`{f}` {_DDL[t]}" for f, t in fields)
+        cat.add(name, spark.createDataFrame(rows, ddl))
+        env[name] = [dict(zip([f for f, _ in fields], r)) for r in rows]
+    e = _odd_query()
+    expected = I.evaluate(e, env)
+    assert sorted(t["order"] for t in expected) == [1, 3]  # 2 filtered out
+    assert any(t["items"] == [] for t in expected)
+    check(api.standard_route(e, ODD_TYPES, cat), expected, "standard")
+    run = api.shredded_route(e, ODD_TYPES, "odd", cat)
+    check(api.unshred_result(run), expected, "shredded")

@@ -11,7 +11,7 @@ from repro.core import api
 from repro.core import nrc_interp as I
 from repro.core import plan_ops as P
 from repro.core import skew as SK
-from repro.core.sexpr import Col
+from repro.core.sexpr import Col, GetField, RawCol, to_sql
 from repro.core.unnest import compile_standard
 from repro.spark_backend import dataset as DS
 
@@ -153,7 +153,7 @@ def test_skew_flat_output_correct(skcat):
 
 def oracle_heavy_keys(df, key, fraction=SK.DEFAULT_SAMPLE_FRACTION):
     """The sampler's rule applied in Python to the same sample."""
-    k = F.col(key) if isinstance(key, str) else key
+    k = F.col(key) if isinstance(key, str) else F.expr(to_sql(key))
     sample = (
         df.select(F.spark_partition_id().alias("pid"), k.alias("k"))
         .sample(fraction=fraction, seed=7)
@@ -229,7 +229,7 @@ def test_heavy_keys_on_key_expression(spark):
     df = _ids(spark, 4000, 4).select(
         F.struct((F.col("id") % 30).alias("a")).alias("s")
     )
-    _assert_matches_oracle(df, F.col("s").getField("a"))
+    _assert_matches_oracle(df, GetField(RawCol("s"), "a"))
 
 
 def test_heavy_keys_runs_two_stages(spark):
