@@ -1,10 +1,10 @@
-"""Figure 7 (+ App. E.3 with --shuffle): nested TPC-H sweep.
+"""Figure 7 (+ App. E.3: the shuffle MB column): nested TPC-H sweep.
 
 Runtimes of SparkSQL / Standard / Shred / Unshred over the
 flat-to-nested, nested-to-nested and nested-to-flat families at 0–4
 levels of nesting, narrow and wide.
 
-    spark-submit jobs/fig7_tpch.py --sf 0.05 [--shuffle]
+    spark-submit jobs/fig7_tpch.py --sf 0.05
 """
 import argparse
 
@@ -20,8 +20,6 @@ def main() -> None:
     ap.add_argument("--families", nargs="+", default=["f2n", "n2n", "n2f"])
     ap.add_argument("--wide-only", action="store_true")
     ap.add_argument("--narrow-only", action="store_true")
-    ap.add_argument("--shuffle", action="store_true",
-                    help="also account simulated shuffle (E.3)")
     args = ap.parse_args()
     wides = (False, True)
     if args.wide_only:
@@ -36,7 +34,6 @@ def main() -> None:
             levels=tuple(args.levels),
             wides=wides,
             families=tuple(args.families),
-            metrics_pass=args.shuffle,
         )
     )
 

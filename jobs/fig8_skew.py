@@ -1,4 +1,4 @@
-"""Figure 8 (+ E.5 with --shuffle, E.6 with --no-push-agg): skew sweep.
+"""Figure 8 (+ E.5: the shuffle MB column, E.6 with --no-push-agg): skew sweep.
 
 Narrow nested-to-nested (two nesting levels) over increasingly skewed
 data; skew-aware vs skew-unaware Standard/Shred, plus SparkSQL.
@@ -18,8 +18,6 @@ def main() -> None:
     ap.add_argument("--skews", type=int, nargs="+", default=[0, 1, 2, 3, 4])
     ap.add_argument("--no-push-agg", action="store_true",
                     help="App. E.6 variant (no aggregation pushing)")
-    ap.add_argument("--shuffle", action="store_true",
-                    help="also account simulated shuffle (E.5)")
     args = ap.parse_args()
     spark = get_spark("fig8")
     emit(
@@ -28,7 +26,6 @@ def main() -> None:
             sf=args.sf,
             skews=tuple(args.skews),
             push_agg=not args.no_push_agg,
-            metrics_pass=args.shuffle,
         )
     )
 

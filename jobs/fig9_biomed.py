@@ -14,16 +14,12 @@ def main() -> None:
     ap.add_argument("--samples", type=int, action="append", default=None)
     ap.add_argument("--muts", type=int, default=60,
                     help="mutations per sample (inner-collection size)")
-    ap.add_argument("--shuffle", action="store_true")
     args = ap.parse_args()
     sizes = args.samples or [25, 60]
     spark = get_spark("fig9")
     rows = []
     for n in sizes:
-        rows += harness.fig9(
-            spark, n_samples=n, muts_per_sample=args.muts,
-            metrics_pass=args.shuffle,
-        )
+        rows += harness.fig9(spark, n_samples=n, muts_per_sample=args.muts)
     emit(rows)
 
 

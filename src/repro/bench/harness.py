@@ -2,18 +2,19 @@
 
 Each figure of the paper's evaluation maps to one ``fig*``/``e*``
 function here returning a list of :class:`Row` (strategy, parameters,
-wall-clock seconds, optional simulated shuffle).  ``jobs/*.py`` print
-them as markdown tables; ``benchmarks/*.py`` wrap them for
-pytest-benchmark regeneration; ``EXPERIMENTS.md`` records paper vs
-measured numbers.
+wall-clock seconds, and the shuffle bytes Spark wrote for the run).
+``jobs/*.py`` print them as markdown tables; ``benchmarks/*.py`` wrap
+them for pytest-benchmark regeneration; ``EXPERIMENTS.md`` records
+paper vs measured numbers.
 
 Timing protocol mirrors the paper: inputs (including materialized
 nested inputs and their shredded forms) are cached and materialized
 *before* the clock starts; a strategy's time covers compilation,
 execution and full materialization (noop-sink write) of its outputs.
-Failures
-are recorded as ``FAIL`` rather than crashing the sweep (the paper
-reports such runs as crashed/missing bars).
+Shuffle is read from Spark's status store after the clock stops, so
+measuring it costs no Spark job.  Failures are recorded as ``FAIL``
+rather than crashing the sweep (the paper reports such runs as
+crashed/missing bars).
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from pyspark.sql import DataFrame, SparkSession
 from ..core import api
 from ..core import nrc as N
 from ..core import nrc_interp as I
-from ..core.metrics import NO_METRICS, MetricsCollector
 from ..core.optimize import catalyst_opt_level
 from ..core.unnest import compile_standard
 from ..core.hierarchy import to_hierarchy
@@ -75,36 +75,69 @@ RUN_TIMEOUT_S = float(os.environ.get("REPRO_RUN_TIMEOUT", "120"))
 
 
 def _timed(
-    fn: Callable[[], object], spark: Optional[SparkSession] = None
-) -> tuple[float, bool, str]:
+    fn: Callable[[], object], spark: SparkSession
+) -> tuple[float, bool, str, float]:
+    """Run ``fn`` under a job group of its own; returns its seconds,
+    whether it succeeded, a failure note and the shuffle MB its jobs
+    wrote."""
+    sc = spark.sparkContext
     t0 = time.time()
+    group = f"timed-{t0}"
+    sc.setJobGroup(group, "timed run", True)
     timer: Optional[threading.Timer] = None
     cancelled = threading.Event()
-    if spark is not None and RUN_TIMEOUT_S > 0:
-        group = f"timed-{t0}"
-        spark.sparkContext.setJobGroup(group, "timed run", True)
+    if RUN_TIMEOUT_S > 0:
 
         def cancel():
             cancelled.set()
-            spark.sparkContext.cancelJobGroup(group)
+            sc.cancelJobGroup(group)
 
         timer = threading.Timer(RUN_TIMEOUT_S, cancel)
         timer.daemon = True
         timer.start()
+    ok, note = True, ""
     try:
         fn()
-        return time.time() - t0, True, ""
     except Exception as ex:  # record as a crashed run, like the paper
-        note = "timeout" if cancelled.is_set() else type(ex).__name__
+        ok, note = False, "timeout" if cancelled.is_set() else type(ex).__name__
         if not cancelled.is_set():
             traceback.print_exc()
-        return time.time() - t0, False, note
     finally:
+        sec = time.time() - t0
         if timer is not None:
             timer.cancel()
-        if spark is not None:
-            spark.sparkContext.setJobGroup("", "")
+        sc.setJobGroup("", "")
+    return sec, ok, note, _shuffle_mb(spark, group)
 
+
+def _shuffle_mb(spark: SparkSession, group: str) -> float:
+    """Shuffle bytes written by the stages of ``group``'s jobs, in MB,
+    from the status store (a stage reused by several jobs counts once).
+    Only stages that ran tasks are read: a skipped stage wrote nothing,
+    and a full store may already have dropped it."""
+    jsc = spark.sparkContext._jsc.sc()
+    jsc.listenerBus().waitUntilEmpty()
+    tracker = spark.sparkContext.statusTracker()
+    stages = {
+        s
+        for j in tracker.getJobIdsForGroup(group)
+        for s in tracker.getJobInfo(j).stageIds
+    }
+    ran = [s for s in stages if (i := tracker.getStageInfo(s)) and i.numCompletedTasks]
+    store = jsc.statusStore()
+    return sum(store.lastStageAttempt(s).shuffleWriteBytes() for s in ran) / 1e6
+
+
+def _release(cat: Catalog, keep: set[str]) -> None:
+    """Drop and unpersist the tables a run registered beyond ``keep``, so
+    that a later run with the same plans computes (and shuffles) its own
+    instead of reading them from Spark's cache.  A frame that aliases a
+    kept table stays cached."""
+    kept = [cat.tables[n] for n in keep]
+    for name in set(cat.tables) - keep:
+        df = cat.tables.pop(name)
+        if not any(df.sameSemantics(k) for k in kept):
+            df.unpersist()
 
 
 def _force(df: DataFrame) -> None:
@@ -132,13 +165,11 @@ def run_standard(
     opt: str = "full",
     push_agg: bool = False,
     skew: bool = False,
-    metrics: MetricsCollector = NO_METRICS,
 ) -> Callable[[], object]:
     def go():
         with catalyst_opt_level(spark, opt):
             df = api.standard_route(
-                e, types, cat, opt=opt, push_agg=push_agg, skew=skew,
-                metrics=metrics,
+                e, types, cat, opt=opt, push_agg=push_agg, skew=skew
             )
             _force(df)
 
@@ -152,17 +183,14 @@ def run_shred(
     qname: str,
     unshred: bool = False,
     skew: bool = False,
-    metrics: MetricsCollector = NO_METRICS,
 ) -> Callable[[], object]:
     def go():
-        run = api.shredded_route(
-            e, types, qname, cat, skew=skew, metrics=metrics
-        )
+        run = api.shredded_route(e, types, qname, cat, skew=skew)
         _force(run.shredded.top)
         for d in run.shredded.dicts.values():
             _force(d)
         if unshred:
-            _force(api.unshred_result(run, metrics=metrics))
+            _force(api.unshred_result(run))
 
     return go
 
@@ -237,7 +265,6 @@ def fig7(
     wides=(False, True),
     families=("f2n", "n2n", "n2f"),
     strategies=FIG7_STRATEGIES,
-    metrics_pass: bool = False,
 ) -> list[Row]:
     cat = tpch_catalog(spark, sf)
     rows: list[Row] = []
@@ -247,15 +274,14 @@ def fig7(
             for level in levels:
                 rows.extend(
                     _fig7_cell(
-                        spark, cat, family, level, wide, strategies,
-                        wlabel, metrics_pass,
+                        spark, cat, family, level, wide, strategies, wlabel
                     )
                 )
     return rows
 
 
 def _fig7_cell(
-    spark, cat, family, level, wide, strategies, wlabel, metrics_pass
+    spark, cat, family, level, wide, strategies, wlabel
 ) -> list[Row]:
     fig = f"fig7-{family}-{wlabel}"
     rows: list[Row] = []
@@ -274,17 +300,15 @@ def _fig7_cell(
     qname = f"{family}_{level}_{wlabel}"
     flat_out = family == "n2f" or (family != "f2n" and level == 0)
 
-    def add(strategy: str, fn, metrics=None):
-        sec, ok, note = _timed(fn, spark)
-        sh = None
-        if metrics is not None and metrics.enabled:
-            sh = metrics.shuffle_bytes / 1e6
+    def add(strategy: str, fn):
+        before = set(cat.tables)
+        sec, ok, note, sh = _timed(fn, spark)
+        _release(cat, before)
         rows.append(
             Row(fig, f"L{level}", strategy, wlabel, sec, ok, sh, note)
         )
 
     for strategy in strategies:
-        m = MetricsCollector(enabled=metrics_pass)
         if strategy == "sparksql":
             if family == "f2n":
                 sql = SQL.flat_to_nested_sql(level, wide)
@@ -294,23 +318,11 @@ def _fig7_cell(
                 sql = SQL.nested_to_flat_sql(level, wide, view)
             add("sparksql", run_sparksql(spark, cat, sql))
         elif strategy == "standard":
-            add(
-                "standard",
-                run_standard(spark, e, types, cat, opt="full", metrics=m),
-                m,
-            )
+            add("standard", run_standard(spark, e, types, cat, opt="full"))
         elif strategy == "shred":
-            add(
-                "shred",
-                run_shred(e, types, cat, f"{qname}_s", metrics=m),
-                m,
-            )
+            add("shred", run_shred(e, types, cat, f"{qname}_s"))
         elif strategy == "unshred" and not flat_out:
-            add(
-                "unshred",
-                run_shred(e, types, cat, f"{qname}_u", unshred=True, metrics=m),
-                m,
-            )
+            add("unshred", run_shred(e, types, cat, f"{qname}_u", unshred=True))
     return rows
 
 
@@ -324,7 +336,6 @@ def fig8(
     sf: float = 0.05,
     skews=(0, 1, 2, 3, 4),
     push_agg: bool = True,
-    metrics_pass: bool = False,
 ) -> list[Row]:
     """Narrow nested-to-nested, two levels of nesting, skewed data.
 
@@ -352,7 +363,6 @@ def fig8(
                 if cfg:
                     cfg["push_agg"] = False
         for name, cfg in strategies:
-            m = MetricsCollector(enabled=metrics_pass)
             if name == "sparksql":
                 fn = run_sparksql(
                     spark, cat, SQL.nested_to_nested_sql(level, wide, view)
@@ -360,22 +370,16 @@ def fig8(
             elif name.startswith("standard"):
                 fn = run_standard(
                     spark, e, types, cat, opt="full",
-                    push_agg=cfg["push_agg"], skew=cfg["skew"], metrics=m,
+                    push_agg=cfg["push_agg"], skew=cfg["skew"],
                 )
             else:
                 fn = run_shred(
                     e, types, cat, f"fig8_{name}_{z}",
-                    unshred=name.endswith("+u"), skew=cfg["skew"], metrics=m,
+                    unshred=name.endswith("+u"), skew=cfg["skew"],
                 )
-            sec, ok, note = _timed(fn, spark)
-            # E.5 reports shuffle *into the joins* (COP prior to ⋈Part);
-            # broadcast volume of the heavy plans shown in the note.
-            sh = m.join_shuffle_bytes / 1e6 if m.enabled else None
-            if m.enabled:
-                note = (note + " " if note else "") + (
-                    f"bcast={m.broadcast_bytes / 1e6:.1f}MB "
-                    f"total={m.shuffle_bytes / 1e6:.1f}MB"
-                )
+            before = set(cat.tables)
+            sec, ok, note, sh = _timed(fn, spark)
+            _release(cat, before)
             rows.append(Row("fig8", "n2n-L2-narrow", name, f"skew={z}", sec, ok, sh, note))
     return rows
 
@@ -390,7 +394,6 @@ def fig9(
     n_samples: int = 25,
     muts_per_sample: int = 40,
     strategies=("sparksql", "standard", "shred"),
-    metrics_pass: bool = False,
 ) -> list[Row]:
     rows: list[Row] = []
     label = f"samples={n_samples}"
@@ -421,16 +424,14 @@ def fig9(
                 )
                 continue
             e = step()
-            m = MetricsCollector(enabled=metrics_pass)
             if strategy == "sparksql":
                 sql = SQL.BIOMED_STEP_SQL[i]
                 fn = run_sparksql(spark, cat, sql)
             elif strategy == "standard":
-                fn = run_standard(spark, e, types, cat, opt="full", metrics=m)
+                fn = run_standard(spark, e, types, cat, opt="full")
             else:
-                fn = run_shred(e, types, cat, name, metrics=m)
-            sec, ok, note = _timed(fn, spark)
-            sh = m.shuffle_bytes / 1e6 if m.enabled else None
+                fn = run_shred(e, types, cat, name)
+            sec, ok, note, sh = _timed(fn, spark)
             rows.append(
                 Row("fig9", f"step{i+1}", strategy, label, sec, ok, sh, note)
             )
@@ -478,8 +479,8 @@ def fig12(
                     fn = run_shred(
                         e, BQ.BASE_TYPES, cat, f"{cname}_{label}", unshred=False
                     )
-                sec, ok, note = _timed(fn, spark)
-                rows.append(Row("fig12", cname, strategy, label, sec, ok, note=note))
+                sec, ok, note, sh = _timed(fn, spark)
+                rows.append(Row("fig12", cname, strategy, label, sec, ok, sh, note))
     return rows
 
 
@@ -538,9 +539,9 @@ def e1(
                 ("dataset", run_standard(spark, e, types, cat, opt="full")),
                 ("rdd", run_rdd(c, cat)),
             ):
-                sec, ok, note = _timed(fn, spark)
+                sec, ok, note, sh = _timed(fn, spark)
                 rows.append(
-                    Row("e1", f"{family}-L{level}", backend, "narrow", sec, ok, note=note)
+                    Row("e1", f"{family}-L{level}", backend, "narrow", sec, ok, sh, note)
                 )
     return rows
 
@@ -568,10 +569,10 @@ def e4(
                 fn = run_standard(
                     spark, e, types, cat, opt=opt, push_agg=push
                 )
-                sec, ok, note = _timed(fn, spark)
+                sec, ok, note, sh = _timed(fn, spark)
                 rows.append(
                     Row("e4", f"{family}-L{level}", f"standard({opt})",
-                        "wide", sec, ok, note=note)
+                        "wide", sec, ok, sh, note)
                 )
     return rows
 
@@ -602,6 +603,8 @@ def e7(spark: SparkSession, sf: float = 0.05) -> list[Row]:
             fn = run_shred(
                 e, types, cat, f"e7_{name}", unshred=unshred, skew=skew_flag
             )
-        sec, ok, note = _timed(fn, spark)
-        rows.append(Row("e7", "n2n-L2-narrow", name, "skew=0", sec, ok, note=note))
+        before = set(cat.tables)
+        sec, ok, note, sh = _timed(fn, spark)
+        _release(cat, before)
+        rows.append(Row("e7", "n2n-L2-narrow", name, "skew=0", sec, ok, sh, note))
     return rows

@@ -23,7 +23,6 @@ from pyspark.sql import DataFrame
 
 from . import nrc as N
 from .hierarchy import QLevel, to_hierarchy
-from .metrics import NO_METRICS, MetricsCollector
 from .shred_materialize import (
     ShreddedCompiled,
     compile_shredded,
@@ -43,14 +42,13 @@ def standard_route(
     opt: str = "full",
     push_agg: bool = False,
     skew: bool = False,
-    metrics: MetricsCollector = NO_METRICS,
 ) -> DataFrame:
     """Compile + execute an NRC query via the standard route."""
     q = to_hierarchy(e, types)
     c = compile_standard(
         q, opt=opt, push_agg=push_agg, unique_keys=catalog.unique_keys
     )
-    return DS.run(c.plan, catalog, skew=skew, metrics=metrics)
+    return DS.run(c.plan, catalog, skew=skew)
 
 
 def register_shredded(catalog: Catalog, name: str, s: Shredded) -> None:
@@ -91,7 +89,6 @@ def shredded_route(
     qname: str,
     catalog: Catalog,
     skew: bool = False,
-    metrics: MetricsCollector = NO_METRICS,
     localized_agg: bool = True,
     persist: bool = True,
 ) -> ShreddedRun:
@@ -125,9 +122,7 @@ def shredded_route(
             catalog,
         )
     for name, plan in compiled.assignments:
-        df = DS.run(
-            plan, catalog, skew=skew, metrics=metrics, source_keys=source_keys
-        )
+        df = DS.run(plan, catalog, skew=skew, source_keys=source_keys)
         if persist:
             df = df.persist()
         catalog.add(name, df)
@@ -140,11 +135,9 @@ def shredded_route(
     return ShreddedRun(compiled=compiled, shredded=s)
 
 
-def unshred_result(
-    run: ShreddedRun, metrics: MetricsCollector = NO_METRICS
-) -> DataFrame:
+def unshred_result(run: ShreddedRun) -> DataFrame:
     """Value-unshred a shredded query result into a nested DataFrame."""
-    return unshred(run.shredded, metrics=metrics)
+    return unshred(run.shredded)
 
 
 __all__ = [

@@ -80,7 +80,6 @@ class Join(Plan):
     right: Plan
     conds: tuple[tuple[SExpr, SExpr], ...]
     how: str  # "inner" | "left_outer" | "cross"
-    broadcast_right: bool = False
 
 
 @dataclass(frozen=True)

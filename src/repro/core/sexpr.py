@@ -116,8 +116,10 @@ _PY_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "<=": operator.le,
     ">": operator.gt,
     ">=": operator.ge,
-    "&&": lambda a, b: bool(a) and bool(b),
-    "||": lambda a, b: bool(a) or bool(b),
+    # Three-valued, as in SQL: a FALSE operand decides AND and a TRUE
+    # one decides OR; otherwise a NULL operand makes the result NULL.
+    "&&": lambda a, b: False if False in (a, b) else None if None in (a, b) else True,
+    "||": lambda a, b: True if True in (a, b) else None if None in (a, b) else False,
 }
 
 

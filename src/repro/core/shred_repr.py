@@ -25,7 +25,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from .metrics import NO_METRICS, MetricsCollector
+from .sexpr import quote
 
 
 @dataclass
@@ -88,7 +88,7 @@ def _shred_into(
     df = df.localCheckpoint(eager=True)
     flat = df.select(
         *[
-            F.col("__rid").alias(c) if c in bags else F.col(c)
+            F.col("__rid").alias(c) if c in bags else F.col(quote(c))
             for c in df.columns
             if c != "__rid"
         ]
@@ -99,7 +99,8 @@ def _shred_into(
         out.dicts[path] = flat
     for a in bags:
         sub = df.select(
-            F.col("__rid").alias("label"), F.explode(F.col(a)).alias("__e")
+            F.col("__rid").alias("label"),
+            F.explode(F.col(quote(a))).alias("__e"),
         )
         elem_fields = [
             f.name
@@ -107,16 +108,14 @@ def _shred_into(
         ]
         sub = sub.select(
             "label",
-            *[F.col(f"__e.{f}").alias(f) for f in elem_fields],
+            *[F.col(f"__e.{quote(f)}").alias(f) for f in elem_fields],
         )
         child_path = path + (a,)
         out.dicts[child_path] = sub
         _shred_into(sub, child_path, out, is_top=False)
 
 
-def unshred(
-    s: Shredded, metrics: MetricsCollector = NO_METRICS
-) -> DataFrame:
+def unshred(s: Shredded) -> DataFrame:
     """Rebuild the nested DataFrame from a shredded representation."""
     # Materialize dictionaries bottom-up: longest paths first.
     nested: dict[tuple[str, ...], DataFrame] = dict(s.dicts)
@@ -125,15 +124,13 @@ def unshred(
         parent_path = path[:-1]
         attr = path[-1]
         # Group this dictionary's rows per label into an array column.
-        metrics.record(f"unshred:group:{'/'.join(path)}", d)
-        value_cols = [c for c in d.columns if c != "label"]
+        value_cols = [quote(c) for c in d.columns if c != "label"]
         grouped = d.groupBy("label").agg(
             F.collect_list(F.struct(*value_cols)).alias("__bag")
         )
         parent = nested[parent_path] if parent_path else s.top
-        metrics.record(f"unshred:join:{'/'.join(path)}", parent)
         joined = parent.join(
-            grouped, parent[attr] == grouped["label"], "left_outer"
+            grouped, parent[quote(attr)] == grouped["label"], "left_outer"
         )
         # The type's SQL form quotes field names; simpleString would not.
         dt = grouped._jdf.schema().apply("__bag").dataType().sql()
@@ -142,7 +139,7 @@ def unshred(
                 F.coalesce(F.col("__bag"), F.expr(f"cast(array() as {dt})"))
                 .alias(attr)
                 if c == attr
-                else parent[c]
+                else parent[quote(c)]
                 for c in parent.columns
             ]
         )
@@ -160,16 +157,18 @@ def flattened_count(df: DataFrame) -> int:
         return df.count()
     a = bags[0]
     others = [c for c in df.columns if c != a]
-    df2 = df.select(*others, F.explode_outer(F.col(a)).alias("__e"))
+    df2 = df.select(
+        *map(quote, others), F.explode_outer(F.col(quote(a))).alias("__e")
+    )
     elem = df2.schema["__e"].dataType
     if isinstance(elem, T.StructType):
         df2 = df2.select(
-            *others,
+            *map(quote, others),
             *[
-                F.col(f"__e.{f.name}").alias(f"{a}__{f.name}")
+                F.col(f"__e.{quote(f.name)}").alias(f"{a}__{f.name}")
                 for f in elem.fields
             ],
         )
     else:
-        df2 = df2.select(*others, F.col("__e").alias(a))
+        df2 = df2.select(*map(quote, others), F.col("__e").alias(a))
     return flattened_count(df2)

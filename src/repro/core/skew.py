@@ -32,7 +32,6 @@ from typing import Optional, Union
 from pyspark.sql import DataFrame, Row, Window
 from pyspark.sql import functions as F
 
-from .metrics import NO_METRICS, MetricsCollector
 from .sexpr import Lit, MkStruct, SExpr, quote, to_sql
 
 DEFAULT_THRESHOLD = 0.025
@@ -157,7 +156,6 @@ def skew_join(
     y_key: Key,
     cond,
     how: str,
-    metrics: MetricsCollector = NO_METRICS,
 ) -> SkewTriple:
     """Fig. 6 skew-aware join: X (triple) ⋈ Y on cond.
 
@@ -173,13 +171,8 @@ def skew_join(
         (hk,) = heavy_keys([(df, x_key)])
     x = split(df, x_key, hk)
     if x.heavy is None:
-        metrics.record("join:left", df)
-        metrics.record("join:right", y)
         return SkewTriple(df.join(y, cond, how), None, x.keys)
     yt = split(y, y_key, hk)
-    metrics.record("join:left(light)", x.light)
-    metrics.record("join:right(light)", yt.light)
-    metrics.record("join:right(heavy)", yt.heavy, kind="broadcast")
     return SkewTriple(
         x.light.join(yt.light, cond, how),
         x.heavy.join(F.broadcast(yt.heavy), cond, how),

@@ -10,18 +10,15 @@ projections and selections
 (:func:`~repro.core.optimize.merge_projections`), and every expression
 goes to Spark as one SQL string (:func:`~repro.core.sexpr.to_sql`).
 
-Two execution modes:
-
-* :func:`execute` — the standard implementation of every operator;
-* :func:`execute_skew` — the skew-aware route (§5): every operator
-  accepts and returns a :class:`~repro.core.skew.SkewTriple`; joins
-  and ``Repartition`` (BagToDict) follow Fig. 6, Γ operators merge
-  the components and run standard.  A planning pass
-  (:func:`source_demands`) first finds the source columns to sample,
-  so one Spark job samples them all.
-
-Both modes optionally account simulated shuffle via a
-:class:`~repro.core.metrics.MetricsCollector`.
+One interpreter, :func:`execute`, runs every plan as the skew-aware
+route of §5 (Fig. 6): every operator accepts and returns a
+:class:`~repro.core.skew.SkewTriple`, joins and ``Repartition``
+(BagToDict) split on heavy keys, Γ operators merge the components and
+run standard.  In skew mode a planning pass (:func:`source_demands`)
+first finds the source columns to sample, so one Spark job samples
+them all.  The standard route is the same interpreter with every
+heavy-key set empty: it plans and samples nothing, each split leaves
+all rows light, and each operator is the plain DataFrame call.
 """
 from __future__ import annotations
 
@@ -34,7 +31,6 @@ from pyspark.sql import functions as F
 
 from ..core import plan_ops as P
 from ..core import skew as SK
-from ..core.metrics import NO_METRICS, MetricsCollector
 from ..core.optimize import merge_projections
 from ..core.sexpr import (
     BinOp,
@@ -56,64 +52,11 @@ def run(
     plan: P.Plan,
     catalog: Catalog,
     skew: bool = False,
-    metrics: MetricsCollector = NO_METRICS,
     source_keys: Optional[SourceKeys] = None,
 ) -> DataFrame:
-    """Execute a plan; in skew mode, returns the merged components
-    (``source_keys``: heavy keys already sampled, see
-    :func:`execute_skew`)."""
-    plan = merge_projections(plan)
-    if skew:
-        return execute_skew(plan, catalog, metrics, source_keys).union()
-    return execute(plan, catalog, metrics)
-
-
-# --------------------------------------------------------------------------
-# Standard execution
-# --------------------------------------------------------------------------
-
-
-def execute(
-    plan: P.Plan, catalog: Catalog, metrics: MetricsCollector = NO_METRICS
-) -> DataFrame:
-    if isinstance(plan, P.Scan):
-        df = catalog.get(plan.table)
-        return df.toDF(*[cname(plan.var, c) for c in df.columns])
-    if isinstance(plan, P.ScanRaw):
-        return catalog.get(plan.table)
-    if isinstance(plan, P.Select):
-        return execute(plan.child, catalog, metrics).filter(to_sql(plan.pred))
-    if isinstance(plan, (P.Project, P.Extend)):
-        df = execute(plan.child, catalog, metrics)
-        return _project(df, _exprs(plan.cols), isinstance(plan, P.Extend))
-    if isinstance(plan, P.AddId):
-        df = execute(plan.child, catalog, metrics)
-        return df.withColumn(plan.out, F.monotonically_increasing_id())
-    if isinstance(plan, P.Join):
-        l = execute(plan.left, catalog, metrics)
-        r = execute(plan.right, catalog, metrics)
-        return _join(l, r, plan, metrics)
-    if isinstance(plan, P.Unnest):
-        return _unnest(execute(plan.child, catalog, metrics), plan)
-    if isinstance(plan, P.NestBag):
-        df = execute(plan.child, catalog, metrics)
-        metrics.record(f"nestbag:{plan.out}", df)
-        return _nest_bag(df, plan)
-    if isinstance(plan, P.NestSum):
-        df = execute(plan.child, catalog, metrics)
-        metrics.record(f"nestsum:{','.join(n for n, _ in plan.values)}", df)
-        return _nest_sum(df, plan)
-    if isinstance(plan, P.Distinct):
-        df = execute(plan.child, catalog, metrics)
-        metrics.record("distinct", df)
-        return df.distinct()
-    if isinstance(plan, P.WithEmptyArray):
-        return _with_empty_array(execute(plan.child, catalog, metrics), plan.col)
-    if isinstance(plan, P.Repartition):
-        df = execute(plan.child, catalog, metrics)
-        metrics.record(f"repartition:{','.join(plan.cols)}", df)
-        return df.repartition(*map(quote, plan.cols))
-    raise TypeError(f"unknown plan node {plan!r}")
+    """Execute a plan and merge its output's components
+    (``source_keys``: heavy keys already sampled, see :func:`execute`)."""
+    return execute(merge_projections(plan), catalog, skew, source_keys).union()
 
 
 def _exprs(cols: tuple[tuple[str, SExpr], ...]) -> dict[str, str]:
@@ -139,22 +82,6 @@ def _join_cond(plan: P.Join) -> Optional[Column]:
         return None
     eqs = [BinOp("==", l, r) for l, r in plan.conds]
     return F.expr(to_sql(reduce(lambda a, b: BinOp("&&", a, b), eqs)))
-
-
-def _join(
-    l: DataFrame, r: DataFrame, plan: P.Join, metrics: MetricsCollector
-) -> DataFrame:
-    if plan.how == "cross":
-        metrics.record("join:left", l)
-        metrics.record("join:right(cross)", r, kind="broadcast")
-        return l.crossJoin(r)
-    cond = _join_cond(plan)
-    if plan.broadcast_right:
-        metrics.record("join:right", r, kind="broadcast")
-        return l.join(F.broadcast(r), cond, plan.how)
-    metrics.record("join:left", l)
-    metrics.record("join:right", r)
-    return l.join(r, cond, plan.how)
 
 
 def _unnest(df: DataFrame, plan: P.Unnest) -> DataFrame:
@@ -191,16 +118,11 @@ def _with_empty_array(df: DataFrame, col: str) -> DataFrame:
     return _project(df, {col: f"coalesce({c}, CAST(array() AS {dt})) AS {c}"}, True)
 
 
-# --------------------------------------------------------------------------
-# Skew-aware execution (§5, Fig. 6)
-# --------------------------------------------------------------------------
-
-
 SourceKeys = dict[tuple[str, str], list]  # (table, column) -> heavy keys
 
 
 def source_demands(plan: P.Plan, catalog: Catalog) -> list[tuple[str, str]]:
-    """The ``(table, column)`` pairs :func:`execute_skew` samples where
+    """The ``(table, column)`` pairs :func:`execute` samples where
     the tables are scanned.  A pure walk: it reads schemas and
     ``catalog.unique_keys`` and starts no Spark job."""
     pairs = ((s.table, c) for s, c in _scan_demands(plan, catalog))
@@ -269,32 +191,35 @@ def _scan_name(scan: P.Plan, column: str) -> str:
     return cname(scan.var, column) if isinstance(scan, P.Scan) else column
 
 
-def execute_skew(
+def execute(
     plan: P.Plan,
     catalog: Catalog,
-    metrics: MetricsCollector = NO_METRICS,
+    skew: bool = False,
     source_keys: Optional[SourceKeys] = None,
 ) -> SK.SkewTriple:
-    """Execute a plan skew-aware; returns its output as a skew-triple.
+    """Execute a plan; returns its output as a skew-triple.
 
-    Planning pass first: the plan's :func:`source_demands` not already
-    in ``source_keys`` are sampled in one batch over the cached catalog
-    frames.  Each ``Scan``/``ScanRaw`` then attaches the heavy keys of
-    its demanded columns, and the triple carries them up under the
-    column's output name.  Joins and BagToDict split on the keys they
-    receive and sample their own input only when they receive none.
+    Skew mode runs a planning pass first: the plan's
+    :func:`source_demands` not already in ``source_keys`` are sampled in
+    one batch over the cached catalog frames.  Each ``Scan``/``ScanRaw``
+    then attaches the heavy keys of its demanded columns, and the triple
+    carries them up under the column's output name.  Joins and BagToDict
+    split on the keys they receive and sample their own input only when
+    they receive none.  Standard mode splits on no heavy keys, so it
+    samples nothing and the heavy part stays empty.
     """
-    scans = list(_scan_demands(plan, catalog))
-    source_keys = dict(source_keys or {})
-    source_keys.update(
-        sample_sources(
-            [(s.table, c) for s, c in scans if (s.table, c) not in source_keys],
-            catalog,
-        )
-    )
     at: dict[P.Plan, dict[str, list]] = {}
-    for s, c in scans:
-        at.setdefault(s, {})[_scan_name(s, c)] = source_keys[(s.table, c)]
+    if skew:
+        scans = list(_scan_demands(plan, catalog))
+        source_keys = dict(source_keys or {})
+        source_keys.update(
+            sample_sources(
+                [(s.table, c) for s, c in scans if (s.table, c) not in source_keys],
+                catalog,
+            )
+        )
+        for s, c in scans:
+            at.setdefault(s, {})[_scan_name(s, c)] = source_keys[(s.table, c)]
 
     def both(t: SK.SkewTriple, f) -> SK.SkewTriple:
         return replace(
@@ -303,7 +228,9 @@ def execute_skew(
 
     def go(plan: P.Plan) -> SK.SkewTriple:
         if isinstance(plan, (P.Scan, P.ScanRaw)):
-            df = execute(plan, catalog, metrics)
+            df = catalog.get(plan.table)
+            if isinstance(plan, P.Scan):
+                df = df.toDF(*[cname(plan.var, c) for c in df.columns])
             return SK.SkewTriple(df, None, dict(at.get(plan, {})))
         if isinstance(plan, P.Select):
             pred = to_sql(plan.pred)
@@ -338,16 +265,13 @@ def execute_skew(
         if isinstance(plan, P.Join):
             if plan.how == "cross" or not plan.conds:
                 df = go(plan.left).union()
-                y = go(plan.right).union()
-                metrics.record("join:left", df)
-                metrics.record("join:right(cross)", y, kind="broadcast")
-                return SK.SkewTriple(df.crossJoin(y), None)
+                return SK.SkewTriple(df.crossJoin(go(plan.right).union()), None)
             lkey, rkey = (_key(k) for k in plan.conds[0])
             x = go(plan.left)
+            if not skew:  # no heavy keys: the plain shuffle join
+                x = replace(x, keys={SK.key_id(lkey): []})
             y = go(plan.right).union()
-            t = SK.skew_join(
-                x, y, lkey, rkey, _join_cond(plan), plan.how, metrics
-            )
+            t = SK.skew_join(x, y, lkey, rkey, _join_cond(plan), plan.how)
             # A lookup keeps each left row's values: the left keys stay valid.
             if _is_lookup(plan, catalog):
                 return replace(t, keys={**x.keys, **t.keys})
@@ -356,28 +280,18 @@ def execute_skew(
             # Γ merges components and follows the standard implementation;
             # its grouping keys keep their heavy keys.
             t = go(plan.child)
-            df = t.union()
-            if isinstance(plan, P.NestBag):
-                metrics.record(f"nestbag:{plan.out}", df)
-                df = _nest_bag(df, plan)
-            else:
-                metrics.record(
-                    f"nestsum:{','.join(n for n, _ in plan.values)}", df
-                )
-                df = _nest_sum(df, plan)
+            nest = _nest_bag if isinstance(plan, P.NestBag) else _nest_sum
             keys = {k: v for k, v in t.keys.items() if k in plan.keys}
-            return SK.SkewTriple(df, None, keys)
+            return SK.SkewTriple(nest(t.union(), plan), None, keys)
         if isinstance(plan, P.Distinct):
             t = go(plan.child)
-            df = t.union()
-            metrics.record("distinct", df)
-            return SK.SkewTriple(df.distinct(), None, t.keys)
+            return SK.SkewTriple(t.union().distinct(), None, t.keys)
         if isinstance(plan, P.Repartition):
             # Skew-aware BagToDict: repartition light labels only.
             (label,) = plan.cols
             t = go(plan.child)
-            b = SK.skew_bag_to_dict(t.union(), label, t.keys.get(label))
-            metrics.record(f"repartition:{label}", b.light)
+            hk = t.keys.get(label) if skew else []
+            b = SK.skew_bag_to_dict(t.union(), label, hk)
             return replace(b, keys={**t.keys, **b.keys})
         raise TypeError(f"unknown plan node {plan!r}")
 

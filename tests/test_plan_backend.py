@@ -46,7 +46,7 @@ def cat(spark):
 
 
 def both(plan, cat):
-    ds = rows_of(DS.execute(plan, cat))
+    ds = rows_of(DS.execute(plan, cat).union())
     rd = RB.collect(plan, cat)
     assert I.bags_equal(ds, rd), "dataset and rdd backends disagree"
     return ds
@@ -87,7 +87,7 @@ def test_extend_keeps_existing(cat):
 def test_add_id_unique(cat):
     # id *values* are backend-specific; only uniqueness is contractual
     p = P.AddId(P.Scan("R", "r"), "the_id")
-    for got in (rows_of(DS.execute(p, cat)), RB.collect(p, cat)):
+    for got in (rows_of(DS.execute(p, cat).union()), RB.collect(p, cat)):
         assert len({r["the_id"] for r in got}) == 3
 
 
@@ -203,7 +203,7 @@ def test_with_empty_array(spark, cat):
         "left_outer",
     )
     p = P.WithEmptyArray(j, "bag")
-    got = rows_of(DS.execute(p, cat))
+    got = rows_of(DS.execute(p, cat).union())
     miss = [r for r in got if r["r__k"] == 2]
     assert miss[0]["bag"] == []
 
@@ -230,7 +230,7 @@ def test_plan_columns_matches_dataset_schema(cat):
     ]
     for p in plans:
         assert sorted(RB.plan_columns(p, cat)) == sorted(
-            DS.execute(p, cat).columns
+            DS.execute(p, cat).union().columns
         )
 
 

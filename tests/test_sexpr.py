@@ -113,8 +113,6 @@ def _spark_eval_cases():
         if op in ("&&", "||"):
             yield BinOp(op, GT, LT)
             yield BinOp(op, LT, GT)
-            # A NULL operand where SQL's three-valued logic and
-            # eval_row's truthiness agree.
             yield BinOp(op, NB, Lit(op == "||"))
         else:
             yield BinOp(op, X, Y)
@@ -131,6 +129,12 @@ def _spark_eval_cases():
     yield IsNotNull(N)
     yield BinOp("*", Col("x", "b"), Lit(1.5))
     yield BinOp("==", RawCol("raw"), Lit("s"))
+    # The other NULL operand pairs of AND/OR, three-valued in both.
+    for op in ("&&", "||"):
+        yield BinOp(op, NB, Lit(op == "&&"))
+        yield BinOp(op, Lit(True), NB)
+        yield BinOp(op, Lit(False), NB)
+        yield BinOp(op, NB, NB)
 
 
 @pytest.fixture(scope="module")

@@ -68,6 +68,19 @@ def test_empty_bags_survive_roundtrip(spark):
     assert got[1] == [{"a": 1}]
 
 
+def test_dotted_names_roundtrip(spark):
+    """Attribute names holding a dot are names, not field accesses."""
+    df = spark.createDataFrame(
+        [(1, [(2, [(3,)])]), (4, [])],
+        "`o.id` int, "
+        "`o.xs` array<struct<`a.b`: int, `x.ys`: array<struct<`c.d`: int>>>>",
+    )
+    s = shred_df(df)
+    assert set(s.dicts) == {("o.xs",), ("o.xs", "x.ys")}
+    I.assert_bags_equal(rows_of(unshred(s)), rows_of(df), "dotted roundtrip")
+    assert flattened_count(df) == 2
+
+
 def test_dict_counts_vs_flattened(tpch):
     """Dictionary tuple counts never exceed the flattened count — the
     succinctness property behind App. D."""

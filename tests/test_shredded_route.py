@@ -231,6 +231,7 @@ def _odd_query() -> N.Expr:
                 N.tup(
                     **{
                         "select": N.Proj(i, "select"),
+                        "o.note": N.Proj(o, "o.note"),
                         "unit price": N.PrimOp(
                             "*", N.Proj(o, "unit price"), N.const(1.5)
                         ),
@@ -246,7 +247,11 @@ def _odd_query() -> N.Expr:
             N.PrimOp("!=", N.Proj(o, "o.note"), N.const("it's \\ odd")),
             N.Singleton(
                 N.tup(
-                    **{"order": N.Proj(o, "order"), "items": items}
+                    **{
+                        "order": N.Proj(o, "order"),
+                        "o.note": N.Proj(o, "o.note"),
+                        "items": items,
+                    }
                 )
             ),
         ),
@@ -254,9 +259,10 @@ def _odd_query() -> N.Expr:
 
 
 def test_routes_quote_names_and_constants(spark):
-    """Keyword, spaced and dotted attribute names and a constant with a
-    quote and a backslash reach Spark as SQL and still match the
-    reference interpreter on both routes."""
+    """Keyword, spaced and dotted attribute names (the dotted one in the
+    nested output too) and a constant with a quote and a backslash reach
+    Spark as SQL and still match the reference interpreter on both
+    routes."""
     cat = Catalog()
     env = {}
     for name, rows in ODD_ROWS.items():

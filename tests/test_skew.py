@@ -476,8 +476,8 @@ def test_shred_skew_samples_cached_sources(spark, skcat, monkeypatch):
     assert name == "sk_src__dict__corders__oparts"
     join = next(p for p in P.walk(plan) if isinstance(p, P.Join))
     (label, pid) = real([(source, "label"), (source, "pid")])
-    assert set(DS.execute_skew(plan, cat).keys["label"]) == set(label)
-    assert set(DS.execute_skew(join, cat).keys["x2__pid"]) == set(pid)
+    assert set(DS.execute(plan, cat, skew=True).keys["label"]) == set(label)
+    assert set(DS.execute(join, cat, skew=True).keys["x2__pid"]) == set(pid)
 
 
 def test_standard_skew_samples_after_unnest(skcat, monkeypatch):
@@ -538,7 +538,7 @@ def test_keys_traced_through_lookups_only(
     plan_pass = lambda: demands.extend(DS.source_demands(plan, cat))
     assert _jobs(spark, request.node.name, plan_pass) == []
     batches, _ = _record_samples(monkeypatch)
-    t = DS.execute_skew(plan, cat)
+    t = DS.execute(plan, cat, skew=True)
     assert [
         [(key, _computes(df)) for df, key, _ in b] for b in batches
     ] == sampled
@@ -549,7 +549,7 @@ def test_keys_traced_through_lookups_only(
         if id(df) in table
     ] == demands
     cols = t.light.columns[:4]
-    want = DS.execute(plan, cat).select(*cols)
+    want = DS.execute(plan, cat).union().select(*cols)
     assert _bag(t.union().select(*cols)) == _bag(want)
 
 
@@ -559,11 +559,15 @@ def test_keys_traced_through_lookups_only(
 
 # Stages that ran tasks for one operation at SF 0.002, z = 3, seed 11:
 # the route plus a noop write of every output.  A change that adds a
-# Spark job or an exchange to a skew-aware route moves these.  Sampling
-# at the cached sources took shred_skew from 24 to 20, and taking those
-# samples in one batch from 20 to 16.
+# Spark job or an exchange to a route moves these.  Sampling at the
+# cached sources took shred_skew from 24 to 20, and taking those
+# samples in one batch from 20 to 16.  The skew-unaware routes run the
+# same interpreter with empty heavy-key sets and sample nothing; their
+# counts are those of the separate standard interpreter it replaced.
 SHRED_SKEW_STAGES = 16
 STANDARD_SKEW_STAGES = 9
+SHRED_STAGES = 9
+STANDARD_STAGES = 6
 
 
 @pytest.fixture(scope="module")
@@ -588,32 +592,55 @@ def budget_cat(spark):
         df.unpersist()
 
 
-def test_shred_skew_stage_budget(spark, budget_cat):
+def _no_sampling(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a skew-unaware route sampled heavy keys")
+
+    monkeypatch.setattr(SK, "heavy_keys", fail)
+
+
+def _shred_stages(spark, cat, skew: bool) -> int:
     out = []
 
     def op():
         run = api.shredded_route(
-            TQ.nested_to_nested(2, False), _n2n_types(), "budget", budget_cat,
-            skew=True,
+            TQ.nested_to_nested(2, False), _n2n_types(),
+            "budget" if skew else "budget_plain", cat, skew=skew,
         )
         out.extend([run.shredded.top, *run.shredded.dicts.values()])
         for df in out:
             _noop(df)
 
     try:
-        stages = _stages_with_tasks(spark, "budget-shred-skew", op)
-        assert stages == SHRED_SKEW_STAGES
+        return _stages_with_tasks(spark, f"budget-shred-{skew}", op)
     finally:
         for df in out:
             df.unpersist()
 
 
-def test_standard_skew_stage_budget(spark, budget_cat):
+def _standard_stages(spark, cat, skew: bool) -> int:
     def op():
         _noop(api.standard_route(
-            TQ.nested_to_nested(2, False), _n2n_types(), budget_cat,
-            opt="full", skew=True,
+            TQ.nested_to_nested(2, False), _n2n_types(), cat,
+            opt="full", skew=skew,
         ))
 
-    stages = _stages_with_tasks(spark, "budget-standard-skew", op)
-    assert stages == STANDARD_SKEW_STAGES
+    return _stages_with_tasks(spark, f"budget-standard-{skew}", op)
+
+
+def test_shred_skew_stage_budget(spark, budget_cat):
+    assert _shred_stages(spark, budget_cat, True) == SHRED_SKEW_STAGES
+
+
+def test_standard_skew_stage_budget(spark, budget_cat):
+    assert _standard_stages(spark, budget_cat, True) == STANDARD_SKEW_STAGES
+
+
+def test_shred_stage_budget(spark, budget_cat, monkeypatch):
+    _no_sampling(monkeypatch)
+    assert _shred_stages(spark, budget_cat, False) == SHRED_STAGES
+
+
+def test_standard_stage_budget(spark, budget_cat, monkeypatch):
+    _no_sampling(monkeypatch)
+    assert _standard_stages(spark, budget_cat, False) == STANDARD_STAGES
