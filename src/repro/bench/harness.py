@@ -3,9 +3,8 @@
 Each figure of the paper's evaluation maps to one ``fig*``/``e*``
 function here returning a list of :class:`Row` (strategy, parameters,
 wall-clock seconds, and the shuffle bytes Spark wrote for the run).
-``jobs/*.py`` print them as markdown tables; ``benchmarks/*.py`` wrap
-them for pytest-benchmark regeneration; ``EXPERIMENTS.md`` records
-paper vs measured numbers.
+``jobs/*.py`` print them as markdown tables; ``EXPERIMENTS.md``
+records paper vs measured numbers.
 
 Timing protocol mirrors the paper: inputs (including materialized
 nested inputs and their shredded forms) are cached and materialized
@@ -448,6 +447,8 @@ def fig9(
                 cat.tables[name].count()
             # (the shredded route registered its output during run_shred)
             types[name] = N.infer_type(e, types)
+        # Each step's output feeds later steps: release them all at the end.
+        _release(cat, set())
     return rows
 
 
@@ -479,8 +480,11 @@ def fig12(
                     fn = run_shred(
                         e, BQ.BASE_TYPES, cat, f"{cname}_{label}", unshred=False
                     )
+                before = set(cat.tables)
                 sec, ok, note, sh = _timed(fn, spark)
+                _release(cat, before)
                 rows.append(Row("fig12", cname, strategy, label, sec, ok, sh, note))
+        _release(cat, set())
     return rows
 
 
@@ -504,6 +508,7 @@ def appd(spark: SparkSession, n_samples: int = 40) -> list[Row]:
     api.register_shredded(cat, "VEP", api.shred_df(cat.get("VEP")))
     run = api.shredded_route(e, types, "appd", cat)
     shred_cands = run.shredded.dicts[("candidates",)].count()
+    _release(cat, set())
     return [
         Row("appD", "maf⋈vep", "standard(flattened tuples)", "", 0.0,
             note=f"candidate tuples={std_cands}"),

@@ -7,8 +7,8 @@ Entry points:
   aggregation pushing per §3.3 / App. E.4).
 * :func:`shredded_route` — NRC → hierarchy → materialized shredded
   assignments → per-assignment execution; returns the
-  :class:`~repro.core.shred_repr.Shredded` output and (optionally)
-  the unshredded nested DataFrame.
+  :class:`~repro.core.shred_repr.Shredded` output, which
+  :func:`unshred_result` turns into the nested DataFrame.
 * :func:`register_shredded` — make a shredded input available to
   subsequent shredded queries (pipeline composition: the shredded
   output of one step is directly the shredded input of the next —
@@ -17,20 +17,20 @@ Entry points:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from pyspark.sql import DataFrame
 
 from . import nrc as N
-from .hierarchy import QLevel, to_hierarchy
+from .hierarchy import to_hierarchy
 from .shred_materialize import (
     ShreddedCompiled,
     compile_shredded,
     dict_table,
+    shredded_input_paths,
     top_table,
 )
 from .shred_repr import Shredded, shred_df, unshred
-from .unnest import Compiled, compile_standard
+from .unnest import compile_standard
 from ..spark_backend import dataset as DS
 from ..spark_backend.catalog import Catalog
 
@@ -58,18 +58,6 @@ def register_shredded(catalog: Catalog, name: str, s: Shredded) -> None:
         catalog.add(dict_table(name, p), d)
 
 
-def shredded_input_paths(catalog: Catalog) -> dict[str, set[tuple[str, ...]]]:
-    """Which catalog inputs are shredded, and their dictionary paths."""
-    out: dict[str, set[tuple[str, ...]]] = {}
-    for t in catalog.tables:
-        if t.endswith("__top"):
-            out.setdefault(t[: -len("__top")], set())
-        elif "__dict__" in t:
-            name, rest = t.split("__dict__", 1)
-            out.setdefault(name, set()).add(tuple(rest.split("__")))
-    return out
-
-
 @dataclass
 class ShreddedRun:
     """Result of executing a shredded compilation."""
@@ -90,14 +78,13 @@ def shredded_route(
     catalog: Catalog,
     skew: bool = False,
     localized_agg: bool = True,
-    persist: bool = True,
 ) -> ShreddedRun:
     """Compile + execute an NRC query via the shredded route.
 
     Nested inputs must already be registered shredded
     (:func:`register_shredded`); their dictionary paths are discovered
     from the catalog.  Each materialization assignment is executed in
-    sequence and registered back into the catalog, so later
+    sequence, persisted and registered back into the catalog, so later
     assignments (and later pipeline steps) can reference it.  With
     ``skew``, the heavy keys every assignment samples at registered
     sources are taken up front, in one batch.
@@ -123,9 +110,7 @@ def shredded_route(
         )
     for name, plan in compiled.assignments:
         df = DS.run(plan, catalog, skew=skew, source_keys=source_keys)
-        if persist:
-            df = df.persist()
-        catalog.add(name, df)
+        catalog.add(name, df.persist())
     s = Shredded(
         top=catalog.get(compiled.top_name),
         dicts={

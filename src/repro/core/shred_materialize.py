@@ -63,12 +63,28 @@ from .sexpr import (
 # --------------------------------------------------------------------------
 
 
+_TOP, _DICT, _SEP = "__top", "__dict__", "__"
+
+
 def top_table(name: str) -> str:
-    return f"{name}__top"
+    return name + _TOP
 
 
 def dict_table(name: str, path: tuple[str, ...]) -> str:
-    return f"{name}__dict__" + "__".join(path)
+    return name + _DICT + _SEP.join(path)
+
+
+def shredded_input_paths(catalog) -> dict[str, set[tuple[str, ...]]]:
+    """Which catalog inputs are shredded, and their dictionary paths:
+    the :func:`top_table`/:func:`dict_table` names read back."""
+    out: dict[str, set[tuple[str, ...]]] = {}
+    for t in catalog.tables:
+        if t.endswith(_TOP):
+            out.setdefault(t[: -len(_TOP)], set())
+        elif _DICT in t:
+            name, rest = t.split(_DICT, 1)
+            out.setdefault(name, set()).add(tuple(rest.split(_SEP)))
+    return out
 
 
 @dataclass
@@ -239,7 +255,7 @@ class _Compiler:
     # -- level compilation ----------------------------------------------
 
     def compile_top(self, q: QLevel) -> ShreddedCompiled:
-        top_name = f"{self.qname}__top"
+        top_name = top_table(self.qname)
         if (
             q.agg is not None
             and q.agg.kind == "sum"
@@ -309,7 +325,7 @@ class _Compiler:
         refs: list[tuple[str, str]],
     ) -> None:
         """Emit assignment(s) for the dictionary at ``path``."""
-        name = f"{self.qname}__dict__" + "__".join(path)
+        name = dict_table(self.qname, path)
         reps: VarRep = {}
         mapping: dict[tuple[str, str], SExpr] = {}
         first = level.gens[0]

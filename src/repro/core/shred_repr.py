@@ -10,9 +10,10 @@ attributes hold *labels*, plus one label-keyed flat DataFrame
   gets a fresh label per bag attribute (``monotonically_increasing_id``
   over a locally-checkpointed frame, so labels are stable), inner bags
   are exploded into the dictionary of the next level, recursively.
-* :func:`unshred` — value unshredding: bottom-up
-  group-by-label + left-join (the cogroup pattern of §3.3), with
-  missing labels coalesced to empty bags.
+* :func:`unshred` — value unshredding as a compiled cogroup plan
+  (§3.3) run by the Dataset backend: bottom-up, each dictionary is
+  nested per label (``NestBag``) and left-outer-joined into its
+  parent, missing labels cast to empty bags (``WithEmptyArray``).
 
 Dictionaries carry a label-based partitioning guarantee (§4.6): each
 dictionary DataFrame is repartitioned on its label column.
@@ -25,7 +26,10 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
-from .sexpr import quote
+from . import plan_ops as P
+from .sexpr import RawCol, quote
+from ..spark_backend import dataset as DS
+from ..spark_backend.catalog import Catalog
 
 
 @dataclass
@@ -64,14 +68,12 @@ def _bag_cols(df: DataFrame) -> list[str]:
     ]
 
 
-def shred_df(df: DataFrame, label_partition: bool = True) -> Shredded:
-    """Value-shred a nested DataFrame into a :class:`Shredded`."""
+def shred_df(df: DataFrame) -> Shredded:
+    """Value-shred a nested DataFrame into a :class:`Shredded`, each
+    dictionary repartitioned on its label."""
     out = Shredded(top=df)
     _shred_into(df, (), out, is_top=True)
-    if label_partition:
-        out.dicts = {
-            p: d.repartition(F.col("label")) for p, d in out.dicts.items()
-        }
+    out.dicts = {p: d.repartition(F.col("label")) for p, d in out.dicts.items()}
     return out
 
 
@@ -116,38 +118,33 @@ def _shred_into(
 
 
 def unshred(s: Shredded) -> DataFrame:
-    """Rebuild the nested DataFrame from a shredded representation."""
-    # Materialize dictionaries bottom-up: longest paths first.
-    nested: dict[tuple[str, ...], DataFrame] = dict(s.dicts)
+    """Rebuild the nested DataFrame from a shredded representation.
+    The label is the Γ⊎ marker: a NULL-label row meets no parent row,
+    so dropping it changes nothing."""
+    frames = {(): s.top, **s.dicts}
+    cat = Catalog({f"t{i}": df for i, df in enumerate(frames.values())})
+    plans: dict[tuple[str, ...], P.Plan] = {
+        p: P.ScanRaw(t) for p, t in zip(frames, cat.tables)
+    }
+    cols = {p: df.columns for p, df in frames.items()}
     for path in sorted(s.dicts, key=len, reverse=True):
-        d = nested[path]
-        parent_path = path[:-1]
-        attr = path[-1]
-        # Group this dictionary's rows per label into an array column.
-        value_cols = [quote(c) for c in d.columns if c != "label"]
-        grouped = d.groupBy("label").agg(
-            F.collect_list(F.struct(*value_cols)).alias("__bag")
+        parent, attr = path[:-1], path[-1]
+        values = [c for c in cols[path] if c != "label"]
+        renamed = P.Project(
+            plans[path],
+            (("__l", RawCol("label")), *((c, RawCol(c)) for c in values)),
         )
-        parent = nested[parent_path] if parent_path else s.top
-        joined = parent.join(
-            grouped, parent[quote(attr)] == grouped["label"], "left_outer"
+        bags = P.NestBag(
+            renamed, ("__l",), tuple((c, c) for c in values), "__bag", "__l"
         )
-        # The type's SQL form quotes field names; simpleString would not.
-        dt = grouped._jdf.schema().apply("__bag").dataType().sql()
-        rebuilt = joined.select(
-            *[
-                F.coalesce(F.col("__bag"), F.expr(f"cast(array() as {dt})"))
-                .alias(attr)
-                if c == attr
-                else parent[quote(c)]
-                for c in parent.columns
-            ]
+        joined = P.Join(
+            plans[parent], bags, ((RawCol(attr), RawCol("__l")),), "left_outer"
         )
-        if parent_path:
-            nested[parent_path] = rebuilt
-        else:
-            s = Shredded(top=rebuilt, dicts=nested)
-    return s.top
+        plans[parent] = P.Project(
+            P.WithEmptyArray(joined, "__bag"),
+            tuple((c, RawCol("__bag" if c == attr else c)) for c in cols[parent]),
+        )
+    return DS.run(plans[()], cat)
 
 
 def flattened_count(df: DataFrame) -> int:

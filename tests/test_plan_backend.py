@@ -6,6 +6,7 @@ import pytest
 from py4j.clientserver import ClientServerConnection
 
 from repro.bench import tpch_queries as TQ
+from repro.core import api
 from repro.core import plan_ops as P
 from repro.core import nrc_interp as I
 from repro.core.hierarchy import to_hierarchy
@@ -250,13 +251,21 @@ def test_unknown_plan_node_raises(cat):
 
 # Upper bounds on the py4j calls of one warm ``DS.run`` of the
 # benchmark's standard-route plans (level 2, SF 0.002; the skew run
-# includes its sampling job).  They take 183, 243 and 431 calls, about
-# a tenth to a fifth of what building Columns node by node took.  A
-# change that moves a bound says why in CHANGES.md.
-BUILD_CALLS = {"f2n_wide": 200, "n2n_narrow": 270, "n2n_narrow_skew": 480}
+# includes its sampling job), and of one warm unshredding of the
+# shredded n2n output.  The standard plans take 183, 243 and 431 calls,
+# about a tenth to a fifth of what building Columns node by node took;
+# unshredding as a plan takes 96, where the hand-built DataFrame cogroup
+# took 214.  A change that moves a bound says why in CHANGES.md.
+BUILD_CALLS = {
+    "f2n_wide": 200,
+    "n2n_narrow": 270,
+    "n2n_narrow_skew": 480,
+    "unshred": 110,
+}
 
 
-def _bench_plan(tpch, query):
+def _bench_build(tpch, query):
+    """The build to count for ``query``, as a callable."""
     cat = tpch["cat"]
     if query == "f2n_wide":
         e, types = TQ.flat_to_nested(2, True), TQ.BASE_TYPES
@@ -264,13 +273,17 @@ def _bench_plan(tpch, query):
         name = ensure_nested_input(tpch, 2, False)
         e = TQ.nested_to_nested(2, False)
         types = {**TQ.BASE_TYPES, name: TQ.flat_to_nested_type(2, False)}
+    if query == "unshred":
+        own = Catalog(dict(cat.tables), dict(cat.unique_keys))
+        run = api.shredded_route(e, types, "budget_n2n", own)
+        return lambda: api.unshred_result(run)
     c = compile_standard(
         to_hierarchy(e, types),
         opt="full",
         push_agg=query == "n2n_narrow",
         unique_keys=cat.unique_keys,
     )
-    return c.plan, query.endswith("skew")
+    return lambda: DS.run(c.plan, cat, skew=query.endswith("skew"))
 
 
 def _py4j_calls(monkeypatch, f) -> int:
@@ -298,7 +311,6 @@ def _py4j_calls(monkeypatch, f) -> int:
 
 @pytest.mark.parametrize("query", list(BUILD_CALLS))
 def test_build_py4j_budget(tpch, monkeypatch, query):
-    plan, skew = _bench_plan(tpch, query)
-    run = lambda: DS.run(plan, tpch["cat"], skew=skew)  # noqa: E731
+    run = _bench_build(tpch, query)
     run()  # warm: the inputs' schemas are read once
     assert _py4j_calls(monkeypatch, run) <= BUILD_CALLS[query]

@@ -3,7 +3,7 @@ import pytest
 
 from repro.bench import tpch_queries as TQ
 from repro.core import nrc_interp as I
-from repro.core.shred_repr import flattened_count, shred_df, unshred
+from repro.core.shred_repr import Shredded, flattened_count, shred_df, unshred
 from repro.core.unnest import compile_standard
 from repro.spark_backend import dataset as DS
 
@@ -108,3 +108,28 @@ def test_count_all_materializes_everything(tpch):
     counts = s.count_all()
     assert counts["top"] == tpch["cat"].get("Orders").count()
     assert counts["oparts"] == tpch["cat"].get("Lineitem").count()
+
+
+def test_unshred_drops_null_and_orphan_labels(spark):
+    """A NULL label meets no parent, an orphan label no parent row; a
+    NULL parent label and one without dictionary rows get the empty bag."""
+    top = spark.createDataFrame(
+        [(1, 10), (2, None), (3, 30)], "id int, xs bigint"
+    )
+    xs = spark.createDataFrame(
+        [(10, 1, 100), (10, 2, None), (None, 3, 100), (77, 4, 100)],
+        "label bigint, a int, ys bigint",
+    )
+    ys = spark.createDataFrame(
+        [(100, 5), (100, 6), (None, 7), (88, 8)], "label bigint, b int"
+    )
+    s = Shredded(top=top, dicts={("xs",): xs, ("xs", "ys"): ys})
+    expected = [
+        {"id": 1, "xs": [
+            {"a": 1, "ys": [{"b": 5}, {"b": 6}]},
+            {"a": 2, "ys": []},
+        ]},
+        {"id": 2, "xs": []},
+        {"id": 3, "xs": []},
+    ]
+    I.assert_bags_equal(rows_of(unshred(s)), expected, "NULL/orphan labels")
