@@ -6,15 +6,17 @@ def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before pyspark is
-    imported anywhere — this runs at conftest import, which pytest loads
-    before any test module.
+    limit > half of ``/proc/meminfo``'s MemTotal, clamped to 2–8g (the
+    rule of ROADMAP's tier-1 command) > 2g. spark.driver.memory is read
+    at JVM launch, not from SparkConf, so it must be in
+    PYSPARK_SUBMIT_ARGS before pyspark is imported anywhere — this runs
+    at conftest import, which pytest loads before any test module.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
     value (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit)
-    is treated as absent so the JVM is never handed an impossible heap.
+    is treated as absent so the JVM is never handed an impossible heap,
+    nor one larger than the machine's memory.
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
@@ -33,8 +35,14 @@ def _driver_mem() -> str:
             return f"{max(1, int(gib * 0.75))}g"
         except (OSError, ValueError):
             continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(l.split()[1]) for l in f if l.startswith("MemTotal:"))
+        os.environ["_SPARK_DRIVER_MEM_SRC"] = "meminfo"
+        return f"{min(8, max(2, kib // (2 << 20)))}g"
+    except (OSError, ValueError, StopIteration, IndexError):
+        os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
+        return "2g"
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())

@@ -11,13 +11,19 @@
 * :func:`skew_join` — light⋈light with the standard shuffle join;
   heavy⋈broadcast(heavy side of the smaller relation), so values of
   heavy keys in the big relation stay where they are.
-* :func:`skew_bag_to_dict` — BagToDict: repartition only the light
-  labels; heavy labels keep their current distribution.
+* :func:`skew_bag_to_dict` — BagToDict: each light label goes to one
+  partition, and no heavy label piles into one.  A scanned input is
+  split and only its light part repartitioned, so heavy rows stay
+  where they are.  A computed input is read once, by one exchange
+  that hashes a light row on its label and a heavy row on all of its
+  columns: splitting it would plan the computation once per half.
 
-Both operators split on the heavy keys their input carries for the key
-and sample the input only when it carries none.  :func:`split` is exact
-for any key set, so where the keys were sampled decides only which
-rows take the broadcast path, never the result.
+Both operators use the heavy keys their input carries for the key and
+sample the input only when it carries none.  :func:`split` is exact
+for any key set, and so is BagToDict's one-exchange partition key (a
+label's rows all take the same branch), so where the keys were sampled
+decides only which rows take the broadcast path or are spread, never
+the result.
 
 Nest operators merge the two components and run the standard
 implementation, returning a triple with an empty heavy part
@@ -131,6 +137,11 @@ def heavy_keys(
     return [list(dict.fromkeys(keys)) for keys in found]
 
 
+def _in_keys(k: str, keys: list) -> str:
+    """SQL test that the key ``k`` (SQL) is one of ``keys`` (no NULLs)."""
+    return f"({k} IN ({', '.join(to_sql(_literal(v)) for v in keys)}))"
+
+
 def split(df: DataFrame, key: Key, keys: list) -> SkewTriple:
     """Split a bag into a skew-triple on a heavy-key set.
 
@@ -141,7 +152,7 @@ def split(df: DataFrame, key: Key, keys: list) -> SkewTriple:
     if not keys:
         return SkewTriple(df, None, {key_id(key): keys})
     k = _sql(key)
-    heavy = f"({k} IN ({', '.join(to_sql(_literal(v)) for v in keys)}))"
+    heavy = _in_keys(k, keys)
     return SkewTriple(
         df.where(f"((NOT {heavy}) OR ({k} IS NULL))"),
         df.where(heavy),
@@ -181,13 +192,30 @@ def skew_join(
 
 
 def skew_bag_to_dict(
-    df: DataFrame, label_col: str = "label", keys: Optional[list] = None
+    df: DataFrame,
+    label_col: str = "label",
+    keys: Optional[list] = None,
+    computed: bool = False,
 ) -> SkewTriple:
-    """Skew-aware BagToDict: repartition light labels only (Fig. 6).
+    """Skew-aware BagToDict (Fig. 6): each light label in one partition,
+    no heavy label piled into one.
 
-    Splits on ``keys`` when given, otherwise on a sample of ``df``.
+    Takes the heavy labels from ``keys`` when given, otherwise from a
+    sample of ``df``; with none it is the plain ``repartition(label)``.
+    A ``computed`` input (a join, a Γ, anything but a scan) is planned
+    once, by one exchange on ``hash(label)`` for a light row and on the
+    hash of every column for a heavy one.  Otherwise ``df`` is split
+    and only its light part repartitioned: reading a cached scan twice
+    costs a filtered cache scan, and heavy rows stay where they are.
     """
     if keys is None:
         (keys,) = heavy_keys([(df, label_col)])
-    t = split(df, label_col, keys)
-    return SkewTriple(t.light.repartition(quote(label_col)), t.heavy, t.keys)
+    keys = [v for v in keys if v is not None]
+    k = quote(label_col)
+    if not (computed and keys):
+        t = split(df, label_col, keys)
+        return SkewTriple(t.light.repartition(k), t.heavy, t.keys)
+    # A NULL label fails the IN test, so it is light, as in split.
+    every = ", ".join(map(quote, df.columns))
+    part = f"CASE WHEN {_in_keys(k, keys)} THEN hash({every}) ELSE hash({k}) END"
+    return SkewTriple(df.repartition(F.expr(part)), None, {label_col: keys})

@@ -12,13 +12,15 @@ goes to Spark as one SQL string (:func:`~repro.core.sexpr.to_sql`).
 
 One interpreter, :func:`execute`, runs every plan as the skew-aware
 route of §5 (Fig. 6): every operator accepts and returns a
-:class:`~repro.core.skew.SkewTriple`, joins and ``Repartition``
-(BagToDict) split on heavy keys, Γ operators merge the components and
-run standard.  In skew mode a planning pass (:func:`source_demands`)
-first finds the source columns to sample, so one Spark job samples
-them all.  The standard route is the same interpreter with every
-heavy-key set empty: it plans and samples nothing, each split leaves
-all rows light, and each operator is the plain DataFrame call.
+:class:`~repro.core.skew.SkewTriple`, joins split on heavy keys,
+``Repartition`` (BagToDict) keeps heavy labels spread (splitting a
+scanned input, one exchange over a computed one), Γ operators merge
+the components and run standard.  In skew mode a planning pass
+(:func:`source_demands`) first finds the source columns to sample, so
+one Spark job samples them all.  The standard route is the same
+interpreter with every heavy-key set empty: it plans and samples
+nothing, each split leaves all rows light, and each operator is the
+plain DataFrame call.
 """
 from __future__ import annotations
 
@@ -204,7 +206,7 @@ def execute(
     one batch over the cached catalog frames.  Each ``Scan``/``ScanRaw``
     then attaches the heavy keys of its demanded columns, and the triple
     carries them up under the column's output name.  Joins and BagToDict
-    split on the keys they receive and sample their own input only when
+    use the keys they receive and sample their own input only when
     they receive none.  Standard mode splits on no heavy keys, so it
     samples nothing and the heavy part stays empty.
     """
@@ -287,15 +289,24 @@ def execute(
             t = go(plan.child)
             return SK.SkewTriple(t.union().distinct(), None, t.keys)
         if isinstance(plan, P.Repartition):
-            # Skew-aware BagToDict: repartition light labels only.
+            # Skew-aware BagToDict: a computed input is planned once.
             (label,) = plan.cols
             t = go(plan.child)
             hk = t.keys.get(label) if skew else []
-            b = SK.skew_bag_to_dict(t.union(), label, hk)
+            computed = not _scanned(plan.child)
+            b = SK.skew_bag_to_dict(t.union(), label, hk, computed)
             return replace(b, keys={**t.keys, **b.keys})
         raise TypeError(f"unknown plan node {plan!r}")
 
     return go(plan)
+
+
+def _scanned(plan: P.Plan) -> bool:
+    """Whether a plan is a ``Scan``/``ScanRaw`` under projections and
+    selections only, so reading it twice reads the cached table twice."""
+    while isinstance(plan, (P.Project, P.Extend, P.Select)):
+        plan = plan.child
+    return isinstance(plan, (P.Scan, P.ScanRaw))
 
 
 def _key(sx: SExpr) -> SK.Key:

@@ -11,7 +11,9 @@ from repro.core import api
 from repro.core import nrc_interp as I
 from repro.core import plan_ops as P
 from repro.core import skew as SK
+from repro.core.hierarchy import to_hierarchy
 from repro.core.sexpr import Col, GetField, RawCol, to_sql
+from repro.core.shred_materialize import compile_shredded, shredded_input_paths
 from repro.core.unnest import compile_standard
 from repro.spark_backend import dataset as DS
 
@@ -398,19 +400,29 @@ def test_skew_join_is_exact_for_any_key_set(xy, forced, how):
 
 
 @pytest.mark.parametrize("forced", FORCED, ids=list(FORCED))
-def test_skew_bag_to_dict_is_exact_for_any_key_set(xy, forced):
+def test_skew_bag_to_dict_is_exact_for_any_key_set(spark, xy, forced):
+    """Both forms: the split of a scanned input, the one exchange of a
+    computed one."""
     x, _ = xy
-    t = SK.skew_bag_to_dict(x, "xk", FORCED[forced])
-    assert _bag(t.union()) == _bag(x.repartition("xk"))
-    # the light labels are hash-partitioned: one partition per label
-    spread = (
-        t.light.select("xk", F.spark_partition_id().alias("pid"))
-        .distinct()
-        .groupBy("xk")
-        .count()
-        .where("count > 1")
-    )
-    assert spread.count() == 0
+    heavy = {k for k in FORCED[forced] if k is not None}
+    # AQE would coalesce this tiny frame into one partition, where one
+    # partition per label holds whatever the partitioning.
+    conf = "spark.sql.adaptive.coalescePartitions.enabled"
+    old = spark.conf.get(conf)
+    spark.conf.set(conf, "false")
+    try:
+        for computed in (False, True):
+            out = SK.skew_bag_to_dict(x, "xk", FORCED[forced], computed).union()
+            assert _bag(out) == _bag(x.repartition("xk"))
+            pids = defaultdict(set)
+            for r in out.select("xk", F.spark_partition_id().alias("p")).collect():
+                pids[r["xk"]].add(r["p"])
+            # the light labels are hash-partitioned: one partition per label
+            assert all(len(p) == 1 for k, p in pids.items() if k not in heavy)
+            if computed and 1 in heavy:  # label 1's 40 rows stay spread
+                assert len(pids[1]) > 1
+    finally:
+        spark.conf.set(conf, old)
 
 
 # --------------------------------------------------------------------------
@@ -560,11 +572,13 @@ def test_keys_traced_through_lookups_only(
 # Stages that ran tasks for one operation at SF 0.002, z = 3, seed 11:
 # the route plus a noop write of every output.  A change that adds a
 # Spark job or an exchange to a route moves these.  Sampling at the
-# cached sources took shred_skew from 24 to 20, and taking those
-# samples in one batch from 20 to 16.  The skew-unaware routes run the
-# same interpreter with empty heavy-key sets and sample nothing; their
-# counts are those of the separate standard interpreter it replaced.
-SHRED_SKEW_STAGES = 16
+# cached sources took shred_skew from 24 to 20, taking those samples in
+# one batch from 20 to 16, and one exchange for the BagToDict of the
+# lowest dictionary's Γ (planned once, not once per label half) from
+# 16 to 12.  The skew-unaware routes run the same interpreter with
+# empty heavy-key sets and sample nothing; their counts are those of
+# the separate standard interpreter it replaced.
+SHRED_SKEW_STAGES = 12
 STANDARD_SKEW_STAGES = 9
 SHRED_STAGES = 9
 STANDARD_STAGES = 6
@@ -626,6 +640,26 @@ def _standard_stages(spark, cat, skew: bool) -> int:
         ))
 
     return _stages_with_tasks(spark, f"budget-standard-{skew}", op)
+
+
+def test_computed_bag_to_dict_plans_its_input_once(budget_cat):
+    """The lowest dictionary's BagToDict reads the Γ over the pid-split
+    join.  With heavy labels and pids it plans that Γ once, over one
+    join per split arm, where splitting the Γ's output planned the Γ
+    and both arms once per label half."""
+    cat = budget_cat
+    q = to_hierarchy(TQ.nested_to_nested(2, False), _n2n_types())
+    compiled = compile_shredded(q, "once", shredded_input_paths(cat))
+    name, plan = compiled.assignments[-1]
+    assert name == "once__dict__corders__oparts"
+    keys = {
+        (table, c): [cat.get(table).where(f"{c} IS NOT NULL").first()[c]]
+        for table, c in DS.source_demands(plan, cat)
+    }
+    assert [c for _, c in keys] == ["label", "pid"]
+    for skew, joins in [(True, 2), (False, 1)]:
+        nodes = _plan_nodes(DS.run(plan, cat, skew, keys if skew else None))
+        assert (nodes.count("Aggregate"), nodes.count("Join")) == (1, joins)
 
 
 def test_shred_skew_stage_budget(spark, budget_cat):
