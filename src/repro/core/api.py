@@ -77,7 +77,6 @@ def shredded_route(
     qname: str,
     catalog: Catalog,
     skew: bool = False,
-    localized_agg: bool = True,
 ) -> ShreddedRun:
     """Compile + execute an NRC query via the shredded route.
 
@@ -91,9 +90,7 @@ def shredded_route(
     """
     q = to_hierarchy(e, types)
     shredded_inputs = shredded_input_paths(catalog)
-    compiled = compile_shredded(
-        q, qname, shredded_inputs, localized_agg=localized_agg
-    )
+    compiled = compile_shredded(q, qname, shredded_inputs)
     source_keys = {}
     if skew:
         # One sampling job for the sources already registered; a table

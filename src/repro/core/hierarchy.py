@@ -18,8 +18,9 @@ nesting structure.  This module normalises an NRC expression into a
 This normal form covers every query of the paper's TPC-H and
 biomedical benchmarks (App. B, C).  Queries outside it (e.g. ``⊎`` of
 two comprehensions in one field) are still supported by the NRC
-interpreter and the symbolic shredder, but not by the distributed
-compiler — a documented restriction (DESIGN.md §3.1).
+interpreter, but both compilers reject them with
+:class:`NormalizationError` — a documented restriction
+(DESIGN.md §3.1).
 """
 from __future__ import annotations
 
@@ -130,6 +131,20 @@ def _sexpr_vars(e: SExpr) -> set[str]:
     if isinstance(e, Col):
         return {e.var}
     return set().union(*map(_sexpr_vars, children(e)))
+
+
+def pick_marker(fields: list[tuple], own_vars: set[str]) -> str:
+    """The empty-bag marker of a level's Γ⊎: the first column whose
+    value reads the level's own generators, so it is NULL exactly when
+    the level produced no tuple.  ``fields`` are tuples ending in
+    ``(column, expression)``."""
+    for *_, col, sx in fields:
+        if _sexpr_vars(sx) & own_vars:
+            return col
+    raise NormalizationError(
+        "cannot determine empty-bag marker: no output field references "
+        "this level's generators"
+    )
 
 
 # --------------------------------------------------------------------------

@@ -405,7 +405,8 @@ def check_program(p: Program, env: dict[str, Type]) -> dict[str, Type]:
 
 
 def free_vars(e: Expr, bound: frozenset[str] = frozenset()) -> set[str]:
-    """Free variables of ``e`` (used by NewLabel in symbolic shredding)."""
+    """Free variables of ``e`` (used to place a comprehension's
+    conditions on the generators they read)."""
     if isinstance(e, Var):
         return set() if e.name in bound else {e.name}
     if isinstance(e, Const) or isinstance(e, EmptyBag):

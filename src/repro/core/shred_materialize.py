@@ -1,10 +1,15 @@
-"""Materialized shredded compilation (§4.3–§4.6).
+"""Materialized shredded compilation (§4.1–§4.6).
 
 Takes a query in comprehension normal form (:class:`QLevel`) and
 produces the *sequence of assignments* the paper's sequential
 materialization emits: one flat plan for the top-level bag, and one
 per output dictionary, each possibly preceded by a label-domain
-assignment.  Domain elimination (§4.4) is built in:
+assignment.  Symbolic shredding (Fig. 4), materialization (Fig. 5)
+and domain elimination (§4.4) happen in one pass: each level's
+NewLabel is the tuple of parent attributes it references, and one
+level compiler emits the top bag (no label) and every dictionary
+(led by its label).  Domain elimination picks a dictionary's first
+generator:
 
 * **Rule 1 (navigation)** — a child level whose only reference to its
   parent is the looked-up label compiles straight from the input
@@ -13,10 +18,11 @@ assignment.  Domain elimination (§4.4) is built in:
 * **Rule 2 (group-by-join-key)** — a child level that filters an input
   bag on ``x.k == parent.k`` compiles from the input table with
   ``label := x.k`` (App. B.1.3's shredded plans fall out of this).
-* **Baseline** (§4.3) otherwise — materialize the label domain
-  (``dedup`` of the parent's label column) and join the level's
-  generators onto it; labels encoding several free attributes are
-  struct-valued (NewLabel with multiple variables).
+* **Baseline** (§4.3) otherwise, including a level with no
+  generators — materialize the label domain (``dedup`` of the
+  parent's label column) and join the level's generators onto it;
+  labels encoding several free attributes are struct-valued
+  (NewLabel with multiple variables).
 
 ``sumBy``/``groupBy`` at a level become **localized aggregations**
 keyed by (label, agg keys) only — no enclosing-level attributes
@@ -30,10 +36,16 @@ BagToDict cast giving dictionaries their label partitioning guarantee
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .hierarchy import Agg, Gen, NormalizationError, QLevel, _sexpr_vars
+from .hierarchy import (
+    Gen,
+    NormalizationError,
+    QLevel,
+    _sexpr_vars,
+    pick_marker,
+)
 from .plan_ops import (
     Distinct,
     Extend,
@@ -103,14 +115,10 @@ VarRep = dict[str, dict[str, DictRef]]  # var -> bag attr -> dict ref
 
 class _Compiler:
     def __init__(
-        self,
-        qname: str,
-        shredded_inputs: dict[str, set[tuple[str, ...]]],
-        localized_agg: bool = True,
+        self, qname: str, shredded_inputs: dict[str, set[tuple[str, ...]]]
     ):
         self.qname = qname
         self.shredded = shredded_inputs
-        self.localized_agg = localized_agg
         self.assignments: list[tuple[str, Plan]] = []
         self.dict_names: dict[tuple[str, ...], str] = {}
 
@@ -123,6 +131,24 @@ class _Compiler:
 
     # -- generator compilation ------------------------------------------
 
+    def _scan_input(self, gen: Gen, reps: VarRep) -> Plan:
+        """Scan an input generator.  A shredded input is scanned as its
+        top bag, and its bag attributes refer to its dictionaries."""
+        name = gen.input_name
+        assert name is not None
+        if name in self.shredded:
+            reps[gen.var] = {a: (name, (a,)) for a in gen.elem_bag_fields}
+            return Scan(top_table(name), gen.var)
+        reps[gen.var] = {}
+        return Scan(name, gen.var)
+
+    @staticmethod
+    def _scan_dict(gen: Gen, ref: DictRef, reps: VarRep) -> Plan:
+        """Scan the dictionary ``ref`` a path generator iterates."""
+        n, p = ref
+        reps[gen.var] = {a: (n, p + (a,)) for a in gen.elem_bag_fields}
+        return Scan(dict_table(n, p), gen.var)
+
     def _compile_gens(
         self,
         gens: list[Gen],
@@ -130,21 +156,11 @@ class _Compiler:
         reps: VarRep,
         parent_reps: VarRep,
         mapping: dict[tuple[str, str], SExpr],
-        skip_first: int = 0,
     ) -> Plan:
         """Compile generators as flat joins over tops/dictionaries."""
-        for gen in gens[skip_first:]:
+        for gen in gens:
             if gen.is_input:
-                name = gen.input_name
-                assert name is not None
-                if name in self.shredded:
-                    right: Plan = Scan(top_table(name), gen.var)
-                    reps[gen.var] = {
-                        a: (name, (a,)) for a in gen.elem_bag_fields
-                    }
-                else:
-                    right = Scan(name, gen.var)
-                    reps[gen.var] = {}
+                right = self._scan_input(gen, reps)
                 conds = tuple(
                     (self._subst(l, mapping), r) for l, r in gen.conds
                 )
@@ -160,34 +176,27 @@ class _Compiler:
                     )
             else:
                 base, attr = gen.path  # type: ignore[misc]
+                link: SExpr = Col(base, attr)
                 if base in reps:
                     ref = reps[base].get(attr)
-                    link: SExpr = Col(base, attr)
-                elif base in parent_reps or (base, attr) in mapping:
-                    ref = parent_reps.get(base, {}).get(attr)
-                    link = mapping.get((base, attr), Col(base, attr))
                 else:
-                    ref = None
-                    link = Col(base, attr)
+                    ref = parent_reps.get(base, {}).get(attr)
+                    link = mapping.get((base, attr), link)
                 if ref is None:
                     raise NormalizationError(
                         f"path {base}.{attr} does not resolve to a "
                         "shredded dictionary"
                     )
-                n, p = ref
                 if plan is None:
                     raise NormalizationError(
                         "path generator with no prior plan"
                     )
                 plan = Join(
                     plan,
-                    Scan(dict_table(n, p), gen.var),
+                    self._scan_dict(gen, ref, reps),
                     ((link, Col(gen.var, "label")),),
                     "inner",
                 )
-                reps[gen.var] = {
-                    a: (n, p + (a,)) for a in gen.elem_bag_fields
-                }
                 for l, r in gen.conds:
                     plan = Select(
                         plan, BinOp("==", self._subst(l, mapping), r)
@@ -256,64 +265,13 @@ class _Compiler:
 
     def compile_top(self, q: QLevel) -> ShreddedCompiled:
         top_name = top_table(self.qname)
-        if (
-            q.agg is not None
-            and q.agg.kind == "sum"
-            and self.localized_agg
-            and self._chain_applies(q)
-        ):
+        if self._chain_applies(q):
             plan = self._compile_flat_agg_chain(q)
             self.assignments.append((top_name, plan))
-            return ShreddedCompiled(self.assignments, top_name, {})
-
-        reps: VarRep = {}
-        plan = self._compile_gens(q.gens, None, reps, {}, {})
-        if q.where is not None:
-            plan = Select(plan, q.where)
-
-        fcols = [(n, sx) for n, sx in q.fields]
-        if q.agg is not None and q.agg.kind == "sum":
-            keyc = [(n, sx) for n, sx in fcols if n in q.agg.keys]
-            valc = [(n, sx) for n, sx in fcols if n in q.agg.values]
-            plan = Extend(plan, tuple(keyc))
-            plan = NestSum(
-                plan,
-                keys=tuple(n for n, _ in keyc),
-                values=tuple(valc),
-            )
-            self.assignments.append((top_name, plan))
-            return ShreddedCompiled(self.assignments, top_name, {})
-        if q.agg is not None and q.agg.kind == "group":
-            keyc = [(n, sx) for n, sx in fcols if n in q.agg.keys]
-            rest = [(n, sx) for n, sx in fcols if n not in q.agg.keys]
-            plan = Extend(plan, tuple(fcols))
-            own = {g.var for g in q.gens}
-            marker = next(
-                n for n, sx in rest if _sexpr_vars(sx) & own
-            )
-            plan = NestBag(
-                plan,
-                keys=tuple(n for n, _ in keyc),
-                struct_fields=tuple((n, n) for n, _ in rest),
-                out="GROUP",
-                marker=marker,
-            )
-            self.assignments.append((top_name, plan))
-            return ShreddedCompiled(self.assignments, top_name, {})
-
-        out_cols: list[tuple[str, SExpr]] = list(fcols)
-        if q.child is not None:
-            fname, clevel = q.child
-            own = {g.var for g in q.gens}
-            refs = self._level_refs(clevel, own)
-            out_cols.append((fname, self._label_expr(refs, {})))
-        plan = Project(plan, tuple(out_cols))
-        self.assignments.append((top_name, plan))
-        if q.child is not None:
-            fname, clevel = q.child
-            self._compile_dict(
-                clevel, (fname,), top_name, reps, refs
-            )
+        else:
+            reps: VarRep = {}
+            plan = self._compile_gens(q.gens, None, reps, {}, {})
+            self._compile_level(q, (), top_name, plan, reps, {}, None)
         return ShreddedCompiled(self.assignments, top_name, self.dict_names)
 
     def _compile_dict(
@@ -324,56 +282,38 @@ class _Compiler:
         parent_reps: VarRep,
         refs: list[tuple[str, str]],
     ) -> None:
-        """Emit assignment(s) for the dictionary at ``path``."""
-        name = dict_table(self.qname, path)
+        """Emit assignment(s) for the dictionary at ``path``: domain
+        elimination (§4.4) picks what the level's first generator reads
+        and which expression is its label."""
         reps: VarRep = {}
         mapping: dict[tuple[str, str], SExpr] = {}
-        first = level.gens[0]
-        label_expr: SExpr
-
-        shortcut_a = (
-            first.path is not None
-            and len(refs) == 1
-            and refs[0] == first.path
-            and first.path[0] in parent_reps
-            and parent_reps[first.path[0]].get(first.path[1]) is not None
+        gens = level.gens
+        first = gens[0] if gens else None
+        label: SExpr
+        if (
+            first is not None
+            and first.path is not None
+            and refs == [first.path]
             and not first.conds
-        )
-        shortcut_b = (
-            first.is_input
+            and parent_reps.get(first.path[0], {}).get(first.path[1])
+        ):
+            # Rule 1: navigate the input dictionary, sharing its labels.
+            base, attr = first.path
+            plan = self._scan_dict(first, parent_reps[base][attr], reps)
+            label = Col(first.var, "label")
+            gens = gens[1:]
+        elif (
+            first is not None
+            and first.is_input
             and len(first.conds) == 1
             and len(refs) == 1
             and isinstance(first.conds[0][0], Col)
             and (first.conds[0][0].var, first.conds[0][0].attr) == refs[0]
-        )
-
-        if shortcut_a:
-            base, attr = first.path  # type: ignore[misc]
-            n, p = parent_reps[base][attr]
-            plan: Plan = Scan(dict_table(n, p), first.var)
-            reps[first.var] = {
-                a: (n, p + (a,)) for a in first.elem_bag_fields
-            }
-            label_expr = Col(first.var, "label")
-            plan = self._compile_gens(
-                level.gens, plan, reps, parent_reps, mapping, skip_first=1
-            )
-        elif shortcut_b:
-            iname = first.input_name
-            assert iname is not None
-            if iname in self.shredded:
-                plan = Scan(top_table(iname), first.var)
-                reps[first.var] = {
-                    a: (iname, (a,)) for a in first.elem_bag_fields
-                }
-            else:
-                plan = Scan(iname, first.var)
-                reps[first.var] = {}
-            _, rexpr = first.conds[0]
-            label_expr = rexpr
-            plan = self._compile_gens(
-                level.gens, plan, reps, parent_reps, mapping, skip_first=1
-            )
+        ):
+            # Rule 2: the join key with the parent is the label.
+            plan = self._scan_input(first, reps)
+            label = first.conds[0][1]
+            gens = gens[1:]
         else:
             # Baseline materialization (§4.3): label-domain assignment.
             dom_name = f"{self.qname}__labdom__" + "__".join(path)
@@ -388,61 +328,70 @@ class _Compiler:
                     (v, a): GetField(RawCol("label"), f"{v}__{a}")
                     for v, a in refs
                 }
-            label_expr = RawCol("label")
-            plan = self._compile_gens(
-                level.gens, ScanRaw(dom_name), reps, parent_reps, mapping
-            )
+            plan = ScanRaw(dom_name)
+            label = RawCol("label")
+        plan = self._compile_gens(gens, plan, reps, parent_reps, mapping)
+        name = dict_table(self.qname, path)
+        self._compile_level(level, path, name, plan, reps, mapping, label)
 
+    def _compile_level(
+        self,
+        level: QLevel,
+        path: tuple[str, ...],
+        name: str,
+        plan: Plan,
+        reps: VarRep,
+        mapping: dict[tuple[str, str], SExpr],
+        label: Optional[SExpr],
+    ) -> None:
+        """Emit assignment ``name`` for ``level`` over its generators'
+        ``plan``, then the child dictionary.
+
+        The top bag has no ``label``.  A dictionary leads with its
+        ``label`` column, aggregates per label (the §4.6 localized
+        aggregation) and ends in BagToDict's ``Repartition("label")``.
+        """
         if level.where is not None:
             plan = Select(plan, self._subst(level.where, mapping))
-
+        lead = [] if label is None else [("label", label)]
         fcols = [(n, self._subst(sx, mapping)) for n, sx in level.fields]
-
-        if level.agg is not None and level.agg.kind == "sum":
-            keyc = [(n, sx) for n, sx in fcols if n in level.agg.keys]
-            valc = [(n, sx) for n, sx in fcols if n in level.agg.values]
-            plan = Extend(
-                plan, tuple([("label", label_expr)] + keyc)
-            )
-            plan = NestSum(
-                plan,
-                keys=tuple(["label"] + [n for n, _ in keyc]),
-                values=tuple(valc),
-            )
-        elif level.agg is not None and level.agg.kind == "group":
-            keyc = [(n, sx) for n, sx in fcols if n in level.agg.keys]
-            rest = [(n, sx) for n, sx in fcols if n not in level.agg.keys]
-            own = {g.var for g in level.gens}
-            marker = next(n for n, sx in rest if _sexpr_vars(sx) & own)
-            plan = Extend(plan, tuple([("label", label_expr)] + fcols))
-            plan = NestBag(
-                plan,
-                keys=tuple(["label"] + [n for n, _ in keyc]),
-                struct_fields=tuple((n, n) for n, _ in rest),
-                out="GROUP",
-                marker=marker,
-            )
-        else:
-            out_cols: list[tuple[str, SExpr]] = [("label", label_expr)]
-            out_cols += fcols
-            child_refs: list[tuple[str, str]] = []
+        own = {g.var for g in level.gens}
+        agg = level.agg
+        child_refs: list[tuple[str, str]] = []
+        if agg is None:
+            out_cols = lead + fcols
             if level.child is not None:
                 fname, clevel = level.child
-                own = {g.var for g in level.gens}
                 child_refs = self._level_refs(clevel, own)
                 out_cols.append(
                     (fname, self._label_expr(child_refs, mapping))
                 )
             plan = Project(plan, tuple(out_cols))
-
-        plan = Repartition(plan, ("label",))
+        else:
+            keyc = lead + [(n, sx) for n, sx in fcols if n in agg.keys]
+            keys = tuple(n for n, _ in keyc)
+            if agg.kind == "sum":
+                plan = NestSum(
+                    Extend(plan, tuple(keyc)),
+                    keys=keys,
+                    values=tuple(
+                        (n, sx) for n, sx in fcols if n in agg.values
+                    ),
+                )
+            else:
+                rest = [(n, sx) for n, sx in fcols if n not in agg.keys]
+                plan = NestBag(
+                    Extend(plan, tuple(lead + fcols)),
+                    keys=keys,
+                    struct_fields=tuple((n, n) for n, _ in rest),
+                    out="GROUP",
+                    marker=pick_marker(rest, own),
+                )
+        if label is not None:
+            plan = Repartition(plan, ("label",))
+            self.dict_names[path] = name
         self.assignments.append((name, plan))
-        self.dict_names[path] = name
-
-        if (
-            level.agg is None
-            and level.child is not None
-        ):
+        if agg is None and level.child is not None:
             fname, clevel = level.child
             self._compile_dict(
                 clevel, path + (fname,), name, reps, child_refs
@@ -453,7 +402,7 @@ class _Compiler:
     def _chain_applies(self, q: QLevel) -> bool:
         if q.where is not None or q.child is not None:
             return False
-        if q.agg is None or len(q.agg.values) != 1:
+        if q.agg is None or q.agg.kind != "sum" or len(q.agg.values) != 1:
             return False
         gens = q.gens
         if not gens or not gens[0].is_input:
@@ -470,7 +419,6 @@ class _Compiler:
             i += 1
         if i == 1:
             return False
-        chain_vars = {g.var for g in gens[:i]}
         bottom_var = prev
         tail = gens[i:]
         tail_vars = {g.var for g in tail}
@@ -507,12 +455,9 @@ class _Compiler:
         fields = dict(q.fields)
         vname = q.agg.values[0]
 
-        # Resolve the dictionary path of each chain generator.
-        paths: list[tuple[str, ...]] = []
-        p: tuple[str, ...] = ()
-        for g in chain:
-            p = p + (g.path[1],)  # type: ignore[index]
-            paths.append(p)
+        # The dictionary path of each chain generator.
+        attrs = tuple(g.path[1] for g in chain)  # type: ignore[index]
+        paths = [attrs[: i + 1] for i in range(len(chain))]
 
         # Bottom stage: deepest dictionary + tail joins + partial Γ⁺.
         plan: Plan = Scan(dict_table(iname, paths[-1]), bottom.var)
@@ -541,7 +486,7 @@ class _Compiler:
             plan = Join(
                 Scan(dict_table(iname, paths[i]), g.var),
                 plan,
-                ((Col(g.var, chain[i + 1].path[1]), RawCol(label_col)),),  # type: ignore[index]
+                ((Col(g.var, attrs[i + 1]), RawCol(label_col)),),
                 "inner",
             )
             label_col = f"{g.var}__label"
@@ -555,14 +500,10 @@ class _Compiler:
         plan = Join(
             Scan(top_table(iname), top_gen.var),
             plan,
-            ((Col(top_gen.var, chain[0].path[1]), RawCol(label_col)),),  # type: ignore[index]
+            ((Col(top_gen.var, attrs[0]), RawCol(label_col)),),
             "inner",
         )
-        top_ext = [
-            (k, fields[k])
-            for k in q.agg.keys
-            if k not in key_cols
-        ]
+        top_ext = [(k, fields[k]) for k in q.agg.keys if k not in key_cols]
         if top_ext:
             plan = Extend(plan, tuple(top_ext))
         return NestSum(
@@ -573,10 +514,7 @@ class _Compiler:
 
 
 def compile_shredded(
-    q: QLevel,
-    qname: str,
-    shredded_inputs: dict[str, set[tuple[str, ...]]],
-    localized_agg: bool = True,
+    q: QLevel, qname: str, shredded_inputs: dict[str, set[tuple[str, ...]]]
 ) -> ShreddedCompiled:
     """Compile a hierarchy to its shredded assignment sequence."""
-    return _Compiler(qname, shredded_inputs, localized_agg).compile_top(q)
+    return _Compiler(qname, shredded_inputs).compile_top(q)

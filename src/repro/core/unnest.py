@@ -13,8 +13,10 @@ standard compilation route:
 
 Optimizations (§3.3, App. E.4) hook in here:
 
-* ``opt="none"`` — the raw unnesting output (everything carried);
-* ``opt="proj"`` — plus column pruning (``optimize.prune``);
+* ``opt="none"`` — the raw unnesting output (everything carried:
+  ``optimize.catalyst_opt_level`` switches off Catalyst's column
+  pruning for the run);
+* ``opt="proj"`` — plus column pruning (Catalyst's own, left on);
 * ``opt="full"`` — plus cogroup fusion: a child level that is a pure
   grouping join (single input generator equi-joined to the parent, no
   parent references elsewhere) is compiled bottom-up as
@@ -29,7 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .hierarchy import Gen, QLevel, NormalizationError, _sexpr_vars
+from .hierarchy import (
+    Gen,
+    NormalizationError,
+    QLevel,
+    _sexpr_vars,
+    pick_marker,
+)
 from .plan_ops import (
     AddId,
     Extend,
@@ -141,19 +149,6 @@ def _compile_gens(
     return plan
 
 
-def _pick_marker(
-    fields: list[tuple[str, str, SExpr]], own_vars: set[str]
-) -> str:
-    """A column NULL iff this level produced no tuple for its parent."""
-    for _, col, sx in fields:
-        if _sexpr_vars(sx) & own_vars:
-            return col
-    raise NormalizationError(
-        "cannot determine empty-bag marker: no output field references "
-        "this level's generators"
-    )
-
-
 def _presence_expr(q: QLevel) -> SExpr:
     """A tuple of this level *exists* iff every outer operator matched.
 
@@ -213,7 +208,7 @@ def _level(
             (n, ocol(path, n), sx) for n, sx in q.fields
         ]
         out_cols = [(n, c) for n, c, _ in fields]
-        marker = _pick_marker(fields, own)
+        marker = pick_marker(fields, own)
         return plan, out_cols, marker
 
     plan = _compile_gens(q, plan, is_root)
@@ -259,7 +254,7 @@ def _level(
         out_cols = [(n, c) for n, c, _ in key_fields] + [
             (n, c) for n, c, _ in val_fields
         ]
-        marker = pres_col or _pick_marker(key_fields, own)
+        marker = pres_col or pick_marker(key_fields, own)
         return plan, out_cols, marker
 
     if q.agg is not None and q.agg.kind == "group":
@@ -276,16 +271,16 @@ def _level(
             ),
             struct_fields=tuple((n, c) for n, c, _ in rest),
             out=grp_col,
-            marker=pres_col or _pick_marker(rest, own),
+            marker=pres_col or pick_marker(rest, own),
         )
         out_cols = [(n, c) for n, c, _ in key_fields] + [("GROUP", grp_col)]
-        marker = pres_col or _pick_marker(key_fields, own)
+        marker = pres_col or pick_marker(key_fields, own)
         return plan, out_cols, marker
 
     # Plain level: project fields, then compile the (optional) child.
     plan = Extend(plan, tuple((c, sx) for _, c, sx in fields))
     out_cols = [(n, c) for n, c, _ in fields]
-    marker = pres_col or _pick_marker(fields, own)
+    marker = pres_col or pick_marker(fields, own)
 
     if q.child is not None:
         fname, clevel = q.child

@@ -14,8 +14,9 @@ from repro.core import api
 from repro.core import nrc as N
 from repro.core import nrc_interp as I
 from repro.core import plan_ops as P
-from repro.core.hierarchy import to_hierarchy
+from repro.core.hierarchy import NormalizationError, to_hierarchy
 from repro.core.shred_materialize import compile_shredded
+from repro.core.unnest import compile_standard
 from repro.spark_backend import dataset as DS
 from repro.spark_backend.catalog import Catalog
 
@@ -55,16 +56,45 @@ def test_nested_to_nested_shred(tpch, level, wide):
         check(api.unshred_result(run), expected, f"n2n L{level}")
 
 
-@pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
-@pytest.mark.parametrize("level", LEVELS)
-@pytest.mark.parametrize("localized", [True, False], ids=["chain", "generic"])
-def test_nested_to_flat_shred(tpch, level, wide, localized):
-    name = ensure_nested_input(tpch, level, wide)
+def _filtered_n2f(level: int, wide: bool = False) -> N.Expr:
+    """Nested-to-flat with a residual ``qty > 25`` on the lowest
+    level.  The filter is a root ``where``, which the App. B.3.3 chain
+    plan declines, so one top-level Γ⁺ runs over the joined path
+    generators."""
     e = TQ.nested_to_flat(level, wide)
+
+    def under(x: N.Expr, depth: int) -> N.Expr:
+        if depth == 0:
+            qty = N.Proj(N.Var(f"x{level}"), "qty")
+            return N.IfThen(N.PrimOp(">", qty, N.const(25.0)), x)
+        return N.ForUnion(x.var, x.source, under(x.body, depth - 1))
+
+    return N.SumBy(e.keys, e.values, under(e.expr, level + 1))
+
+
+N2F_CASES = [
+    pytest.param(
+        TQ.nested_to_flat, level, wide,
+        id=f"chain-{level}-{'wide' if wide else 'narrow'}",
+    )
+    for level in LEVELS
+    for wide in (False, True)
+] + [
+    pytest.param(
+        _filtered_n2f, level, False,
+        id=f"where-{level}-narrow",
+    )
+    for level in (1, 2)
+]
+
+
+@pytest.mark.parametrize("query,level,wide", N2F_CASES)
+def test_nested_to_flat_shred(tpch, query, level, wide):
+    name = ensure_nested_input(tpch, level, wide)
+    e = query(level, wide)
     types = {**TQ.BASE_TYPES, name: TQ.flat_to_nested_type(level, wide)}
     run = api.shredded_route(
-        e, types, f"t_n2f{level}{int(wide)}{int(localized)}", tpch["cat"],
-        localized_agg=localized,
+        e, types, f"t_{query.__name__}{level}{int(wide)}", tpch["cat"]
     )
     check(run.flat, I.evaluate(e, tpch["env"]), f"n2f L{level}")
 
@@ -74,10 +104,10 @@ def test_nested_to_flat_shred(tpch, level, wide, localized):
 # ---------------------------------------------------------------------------
 
 
-def _compiled(tpch, e, types, qname, **kw):
+def _compiled(tpch, e, types, qname):
     q = to_hierarchy(e, types)
     shredded = api.shredded_input_paths(tpch["cat"])
-    return compile_shredded(q, qname, shredded, **kw)
+    return compile_shredded(q, qname, shredded)
 
 
 def test_flat_to_nested_shredded_plan_is_projections(tpch):
@@ -150,15 +180,16 @@ def test_chain_plan_aggregates_before_top_join(tpch):
     assert set(sums[0].keys) == {"nname", "pname"}
 
 
-def test_generic_fallback_used_without_localized_agg(tpch):
+def test_filtered_n2f_is_one_top_sum(tpch):
+    """A nested-to-flat query the chain plan declines compiles to the
+    generic form: joins first, then a single top-level Γ⁺."""
     name = ensure_nested_input(tpch, 2, False)
     types = {**TQ.BASE_TYPES, name: TQ.flat_to_nested_type(2, False)}
-    c = _compiled(
-        tpch, TQ.nested_to_flat(2, False), types, "nf2", localized_agg=False
-    )
+    c = _compiled(tpch, _filtered_n2f(2), types, "nf2")
     (_, plan), = c.assignments
     sums = [n for n in P.walk(plan) if isinstance(n, P.NestSum)]
-    assert len(sums) == 1  # single top-level aggregate, joins first
+    assert len(sums) == 1
+    assert any(isinstance(n, P.Select) for n in P.walk(plan))
 
 
 def test_shredded_output_feeds_next_query(tpch):
@@ -174,6 +205,63 @@ def test_shredded_output_feeds_next_query(tpch):
     env["pipeA"] = I.evaluate(e1, env)
     expected = I.evaluate(e2, env)
     check(api.unshred_result(r2), expected, "pipelined shredded query")
+
+
+# The paper's running example (Examples 1 and 4): COP joined with Part
+# at the lowest level, summed by part name.
+COP_T = N.BagT(
+    N.tuple_t(
+        cname=N.STRING,
+        corders=N.BagT(
+            N.tuple_t(
+                odate=N.STRING,
+                oparts=N.BagT(N.tuple_t(pid=N.INT, qty=N.REAL)),
+            )
+        ),
+    )
+)
+PART_T = N.BagT(N.tuple_t(pid=N.INT, pname=N.STRING, price=N.REAL))
+ENV = {"COP": COP_T, "Part": PART_T}
+
+
+def _p(v, a):
+    return N.Proj(N.Var(v), a)
+
+
+def running_example() -> N.Expr:
+    oparts = N.SumBy(
+        ("pname",),
+        ("total",),
+        N.ForUnion(
+            "op",
+            _p("co", "oparts"),
+            N.ForUnion(
+                "p",
+                N.Var("Part"),
+                N.IfThen(
+                    N.eq(_p("op", "pid"), _p("p", "pid")),
+                    N.Singleton(
+                        N.tup(
+                            pname=_p("p", "pname"),
+                            total=N.PrimOp(
+                                "*", _p("op", "qty"), _p("p", "price")
+                            ),
+                        )
+                    ),
+                ),
+            ),
+        ),
+    )
+    corders = N.ForUnion(
+        "co",
+        _p("cop", "corders"),
+        N.Singleton(N.tup(odate=_p("co", "odate"), oparts=oparts)),
+    )
+    return N.ForUnion(
+        "cop",
+        N.Var("COP"),
+        N.Singleton(N.tup(cname=_p("cop", "cname"), corders=corders)),
+    )
 
 
 def test_level_refs_and_subst_reach_every_expression():
@@ -201,6 +289,55 @@ def test_level_refs_and_subst_reach_every_expression():
     assert sub(GetField(Col("x", "n"), "a"), mapping) == GetField(
         RawCol("label"), "a"
     )
+
+
+def test_materialized_label_captures_only_used_attributes():
+    """In the running example the corders label captures only
+    ``cop.corders``, not ``cname`` (Example 4's NewLabel)."""
+    from repro.core.shred_materialize import _Compiler
+
+    q = to_hierarchy(running_example(), ENV)
+    assert _Compiler._level_refs(q.child[1], {"cop"}) == [("cop", "corders")]
+
+
+# ---------------------------------------------------------------------------
+# Queries at the edge of the normal form
+# ---------------------------------------------------------------------------
+
+
+def _customers_with(head: N.Expr) -> N.Expr:
+    return N.ForUnion("c", N.Var("Customer"), N.Singleton(head))
+
+
+@pytest.mark.parametrize("skew", [False, True], ids=["plain", "skew"])
+def test_generatorless_child_level(tpch, skew):
+    """A bag attribute built from the parent alone, with no generator of
+    its own, takes the baseline label domain on the shredded route."""
+    e = _customers_with(
+        N.tup(
+            ckey=_p("c", "c_custkey"),
+            s=N.Singleton(N.tup(nkey=_p("c", "c_nationkey"))),
+        )
+    )
+    expected = I.evaluate(e, tpch["env"])
+    cat = tpch["cat"]
+    check(api.standard_route(e, TQ.BASE_TYPES, cat, skew=skew), expected)
+    run = api.shredded_route(
+        e, TQ.BASE_TYPES, f"nogen{int(skew)}", cat, skew=skew
+    )
+    check(api.unshred_result(run), expected, "shredded")
+
+
+def test_group_without_marker_fails_on_both_routes():
+    """A groupBy whose grouped fields never read the level's generators
+    has no empty-bag marker: both compilers reject it loudly."""
+    head = N.tup(ckey=_p("c", "c_custkey"), one=N.const(1))
+    e = N.GroupBy(("ckey",), _customers_with(head))
+    q = to_hierarchy(e, TQ.BASE_TYPES)
+    with pytest.raises(NormalizationError, match="empty-bag marker"):
+        compile_standard(q)
+    with pytest.raises(NormalizationError, match="empty-bag marker"):
+        compile_shredded(q, "nomark", {})
 
 
 # ---------------------------------------------------------------------------
